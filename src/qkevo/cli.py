@@ -223,7 +223,6 @@ def _resolve(args) -> RunConfig:
     train_config = TrainConfig(
         C=float(_pick(args.svm_c, svm_cfg, "C", 1.0)),
         tolerance=float(svm_cfg.get("tolerance", 1e-3)),
-        max_passes=int(svm_cfg.get("max_passes", 10)),
         max_iterations=int(svm_cfg.get("max_iterations", 100_000)),
     )
     return RunConfig(

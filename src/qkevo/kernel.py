@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .featuremap import FeatureMapTemplate
-from .simulator import HADAMARD_MATRIX
+from .simulator import HADAMARD_MATRIX, MAX_QUBITS
 
 CLASSICAL_KINDS = ("linear", "poly", "rbf", "sigmoid")
 
@@ -65,6 +65,8 @@ def _rows_apply_cnot(states: np.ndarray, control: int, target: int) -> np.ndarra
 def prepare_states(template: FeatureMapTemplate, X) -> np.ndarray:
     """Feature-map statevectors for every row of X, shape (rows, 2**n_qubits)."""
     n = template.n_qubits
+    if not 1 <= n <= MAX_QUBITS:
+        raise ConfigError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n}")
     X = _as_data_matrix(X, n, "X")
     rows = X.shape[0]
     states = np.zeros((rows, 2 ** n), dtype=complex)

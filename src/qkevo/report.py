@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .featuremap import Genome, decode, gate_counts
+from .featuremap import Genome, decode, gate_counts, genome_length
 
 
 def average_ranks(values) -> np.ndarray:
@@ -124,7 +124,7 @@ def load_run(run_dir) -> RunRecord:
 
 def _qubits_from_genome_length(length: int) -> int:
     for n in range(1, 64):
-        if n + n * (n - 1) // 2 + 4 == length:
+        if genome_length(n) == length:
             return n
     raise DataError(f"no qubit count yields genome length {length}")
 

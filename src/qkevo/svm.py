@@ -5,11 +5,15 @@ The dual problem
     max  sum_i a_i - 1/2 sum_ij a_i a_j y_i y_j K_ij
     s.t. sum_i a_i y_i = 0,   0 <= a_i <= C
 
-is solved by sequential two-variable analytic updates (SMO).  Pair
-selection is fully deterministic: the same Gram matrix, labels and config
-always produce the same model.  After the update loop the bias is
-recomputed from the KKT bounds, which pins it down even when every alpha
-sits on a box constraint (e.g. for degenerate, constant kernels).
+is solved by sequential two-variable analytic updates (SMO).  Each update
+takes the maximal violating pair (Keerthi et al., Neural Computation 13(3),
+2001): the two alphas whose KKT violation is largest, ties broken by the
+first index.  The loop stops once that violation gap is at most
+``tolerance``, or after ``max_iterations`` updates.  Pair selection is fully
+deterministic: the same Gram matrix, labels and config always produce the
+same model.  After the update loop the bias is recomputed from the KKT
+bounds, which pins it down even when every alpha sits on a box constraint
+(e.g. for degenerate, constant kernels).
 """
 from __future__ import annotations
 
@@ -20,8 +24,6 @@ import numpy as np
 
 from .errors import TrainingError
 
-# Minimum meaningful alpha step, relative to the pair being updated.
-_STEP_EPS = 1e-8
 # Alphas closer than this to a box bound are not counted as support vectors.
 _SV_EPS = 1e-8
 
@@ -30,14 +32,13 @@ _SV_EPS = 1e-8
 class TrainConfig:
     C: float = 1.0
     tolerance: float = 1e-3
-    max_passes: int = 10
     max_iterations: int = 100_000
 
     def __post_init__(self):
         if self.C <= 0 or self.tolerance <= 0:
             raise ValueError("C and tolerance must be positive")
-        if self.max_passes < 1 or self.max_iterations < 1:
-            raise ValueError("max_passes and max_iterations must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -49,147 +50,67 @@ class SvmModel:
     regularization: float
 
 
-class _Smo:
-    # Scalar-heavy inner loops run on plain Python floats (list caches of
-    # the Gram matrix and labels); only the error cache stays vectorised.
-    def __init__(self, K: np.ndarray, y: np.ndarray, config: TrainConfig):
-        self.K = K
-        self.Krows = K.tolist()
-        self.y = y
-        self.ylist = [float(v) for v in y]
-        self.C = config.C
-        self.tol = config.tolerance
-        self.alpha = [0.0] * len(y)
-        self.b = 0.0
-        self.errors = -y.astype(float)  # E_i = f(x_i) - y_i with f = 0 initially
-        self.steps = 0
+def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float,
+           max_iterations: int) -> np.ndarray:
+    """Alphas of the dual by maximal-violating-pair SMO.
 
-    def take_step(self, i1: int, i2: int) -> bool:
-        if i1 == i2:
-            return False
-        alpha = self.alpha
-        a1, a2 = alpha[i1], alpha[i2]
-        y1, y2 = self.ylist[i1], self.ylist[i2]
-        s = y1 * y2
-        if s < 0:
-            low, high = max(0.0, a2 - a1), min(self.C, self.C + a2 - a1)
-        else:
-            low, high = max(0.0, a1 + a2 - self.C), min(self.C, a1 + a2)
-        if low >= high:
-            return False
-        row1 = self.Krows[i1]
-        k11 = row1[i1]
-        k12 = row1[i2]
-        k22 = self.Krows[i2][i2]
-        e1 = float(self.errors[i1])
-        e2 = float(self.errors[i2])
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0:
-            a2_new = a2 + y2 * (e1 - e2) / eta
-            a2_new = min(max(a2_new, low), high)
-        else:
-            # Objective is flat/concave along the constraint line: compare
-            # the two box endpoints (minimisation form, as in Platt 1998).
-            v1 = y1 * (e1 - self.b) - a1 * k11 - s * a2 * k12
-            v2 = y2 * (e2 - self.b) - s * a1 * k12 - a2 * k22
-            l1 = a1 + s * (a2 - low)
-            h1 = a1 + s * (a2 - high)
-            obj_low = (l1 * v1 + low * v2 + 0.5 * l1 * l1 * k11
-                       + 0.5 * low * low * k22 + s * low * l1 * k12)
-            obj_high = (h1 * v1 + high * v2 + 0.5 * h1 * h1 * k11
-                        + 0.5 * high * high * k22 + s * high * h1 * k12)
-            if obj_low < obj_high - _STEP_EPS:
-                a2_new = low
-            elif obj_low > obj_high + _STEP_EPS:
-                a2_new = high
-            else:
-                return False
-        if abs(a2_new - a2) < _STEP_EPS * (a2_new + a2 + _STEP_EPS):
-            return False
-        # Mirror step on a1 preserves sum(alpha*y) exactly; clip guards the
-        # one-ulp float excursions outside the box.
-        a1_new = min(max(a1 + s * (a2 - a2_new), 0.0), self.C)
-        d1 = y1 * (a1_new - a1)
-        d2 = y2 * (a2_new - a2)
-        b1 = self.b - e1 - d1 * k11 - d2 * k12
-        b2 = self.b - e2 - d1 * k12 - d2 * k22
-        if 0.0 < a1_new < self.C:
-            b_new = b1
-        elif 0.0 < a2_new < self.C:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-        self.errors += d1 * self.K[i1] + d2 * self.K[i2] + (b_new - self.b)
-        alpha[i1] = a1_new
-        alpha[i2] = a2_new
-        self.b = b_new
-        self.steps += 1
-        return True
+    ``v`` is -y * gradient of the dual in minimisation form, so it starts
+    at ``y``.  Each step moves the pair (i, j) that violates the KKT
+    conditions most: i maximises ``v`` over the rows whose alpha can move
+    up the constraint line, j minimises it over those that can move down.
+    Ties go to the first index, so flipping every label swaps the roles of
+    i and j and leaves the iterates mirrored exactly.
+    """
+    alpha = np.zeros(y.size)
+    v = y.copy()
+    pos = y > 0
+    for _ in range(max_iterations):
+        below, above = alpha < C, alpha > 0.0
+        up = np.where((pos & below) | (~pos & above), v, -np.inf)
+        low = np.where((~pos & below) | (pos & above), v, np.inf)
+        i, j = int(np.argmax(up)), int(np.argmin(low))
+        gap = up[i] - low[j]
+        if gap <= tol:
+            break
+        room_i = C - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else C - alpha[j]
+        # A flat or concave direction has no interior optimum: go to the box.
+        t = min(room_i, room_j)
+        curvature = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if curvature > 0.0:
+            t = min(t, gap / curvature)
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        if t == room_i:
+            alpha[i] = C if pos[i] else 0.0
+        if t == room_j:
+            alpha[j] = 0.0 if pos[j] else C
+        v -= t * (K[:, i] - K[:, j])
+    return alpha
 
-    def _non_bound(self) -> list[int]:
-        C = self.C
-        return [i for i, a in enumerate(self.alpha) if 0.0 < a < C]
 
-    def examine(self, i2: int) -> bool:
-        y2 = self.ylist[i2]
-        a2 = self.alpha[i2]
-        r2 = float(self.errors[i2]) * y2
-        if not ((r2 < -self.tol and a2 < self.C) or (r2 > self.tol and a2 > 0.0)):
-            return False
-        non_bound = self._non_bound()
-        if len(non_bound) > 1:
-            e2 = float(self.errors[i2])
-            i1 = max(non_bound, key=lambda i: abs(float(self.errors[i]) - e2))
-            if self.take_step(i1, i2):
-                return True
-        for i1 in non_bound:
-            if self.take_step(i1, i2):
-                return True
-        for i1 in range(len(self.ylist)):
-            if self.take_step(i1, i2):
-                return True
-        return False
+def final_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
+    """Bias from the KKT bounds at the final alphas.
 
-    def run(self, max_passes: int, max_iterations: int) -> None:
-        # Pair selection is deterministic, so one full sweep without any
-        # alpha change is a fixed point; max_passes >= 1 values behave alike.
-        examine_all = True
-        num_changed = 1
-        while (num_changed > 0 or examine_all) and self.steps < max_iterations:
-            num_changed = 0
-            targets = range(len(self.ylist)) if examine_all else self._non_bound()
-            for i2 in targets:
-                num_changed += self.examine(i2)
-                if self.steps >= max_iterations:
-                    break
-            if examine_all:
-                examine_all = False
-            elif num_changed == 0:
-                examine_all = True
-
-    def final_bias(self) -> float:
-        """Bias from the KKT bounds at the final alphas.
-
-        Interior support vectors pin the bias exactly; with every alpha at
-        a bound the feasible interval midpoint is used.
-        """
-        alpha = np.asarray(self.alpha)
-        g = self.K @ (alpha * self.y)
-        interior = (alpha > _SV_EPS) & (alpha < self.C - _SV_EPS)
-        if interior.any():
-            return float(np.mean(self.y[interior] - g[interior]))
-        v = self.y - g
-        at_zero = alpha <= _SV_EPS
-        pos = self.y > 0
-        lower = (at_zero & pos) | (~at_zero & ~pos)
-        upper = (at_zero & ~pos) | (~at_zero & pos)
-        b_lo = np.max(v[lower]) if lower.any() else -np.inf
-        b_hi = np.min(v[upper]) if upper.any() else np.inf
-        if not np.isfinite(b_lo):
-            return float(b_hi)
-        if not np.isfinite(b_hi):
-            return float(b_lo)
-        return float(0.5 * (b_lo + b_hi))
+    Interior support vectors pin the bias exactly; with every alpha at
+    a bound the feasible interval midpoint is used.
+    """
+    g = K @ (alpha * y)
+    interior = (alpha > _SV_EPS) & (alpha < C - _SV_EPS)
+    if interior.any():
+        return float(np.mean(y[interior] - g[interior]))
+    v = y - g
+    at_zero = alpha <= _SV_EPS
+    pos = y > 0
+    lower = (at_zero & pos) | (~at_zero & ~pos)
+    upper = (at_zero & ~pos) | (~at_zero & pos)
+    b_lo = np.max(v[lower]) if lower.any() else -np.inf
+    b_hi = np.min(v[upper]) if upper.any() else np.inf
+    if not np.isfinite(b_lo):
+        return float(b_hi)
+    if not np.isfinite(b_hi):
+        return float(b_lo)
+    return float(0.5 * (b_lo + b_hi))
 
 
 def _check_gram(gram: np.ndarray) -> np.ndarray:
@@ -213,10 +134,8 @@ def train_dual(gram, y, config: TrainConfig | None = None) -> SvmModel:
         raise ValueError("labels must be -1 or +1")
     if np.all(y == y[0]):
         raise TrainingError("training labels contain a single class")
-    smo = _Smo(K, y, config)
-    smo.run(config.max_passes, config.max_iterations)
-    bias = smo.final_bias()
-    alphas = np.asarray(smo.alpha)
+    alphas = _solve(K, y, config.C, config.tolerance, config.max_iterations)
+    bias = final_bias(K, y, alphas, config.C)
     support = np.flatnonzero(alphas > _SV_EPS)
     return SvmModel(alphas=alphas, bias=bias, support_indices=support,
                     train_labels=y, regularization=config.C)

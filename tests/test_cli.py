@@ -11,6 +11,7 @@ from qkevo.nsga2 import Objectives, dominates
 from conftest import REPO_ROOT
 
 IRIS = str(REPO_ROOT / "data" / "iris.csv")
+CANCER = str(REPO_ROOT / "data" / "breast_cancer.csv")
 
 
 def _evolve_args(out, features="0,1", generations="3", seed="7", extra=()):
@@ -76,6 +77,15 @@ def test_evolve_bad_label_column_is_data_error(tmp_path):
     code = main(["evolve", "--dataset", IRIS, "--label-col", "nope",
                  "--qubits", "2", "--out", str(tmp_path / "r")])
     assert code == 2
+
+
+def test_evolve_too_many_qubits_is_usage_error(tmp_path):
+    out = tmp_path / "r"
+    code = main(["evolve", "--dataset", CANCER, "--label-col", "diagnosis",
+                 "--qubits", "13", "--population", "4", "--generations", "0",
+                 "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
 
 
 def test_kernels_classical_only(tmp_path):

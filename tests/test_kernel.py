@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from qkevo.errors import ConfigError
-from qkevo.featuremap import Genome, bind, decode, genome_length
+from qkevo.featuremap import FeatureMapTemplate, Genome, bind, decode, genome_length
 from qkevo.kernel import (classical_kernel, prepare_states, quantum_cross,
                           quantum_gram)
-from qkevo.simulator import fidelity_overlap, prepare_state
+from qkevo.simulator import MAX_QUBITS, fidelity_overlap, prepare_state
 
 
 def random_template(rng, n):
@@ -124,6 +124,13 @@ def test_cross_rejects_dimension_mismatch():
     t = random_template(rng, 2)
     with pytest.raises(ValueError):
         quantum_cross(t, np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+def test_prepare_states_rejects_qubits_beyond_limit():
+    n = MAX_QUBITS + 1
+    template = FeatureMapTemplate(n, (True,) * n, "Z", (), 1)
+    with pytest.raises(ConfigError):
+        prepare_states(template, np.zeros((2, n)))
 
 
 def test_classical_kernel_values():

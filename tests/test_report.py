@@ -80,6 +80,14 @@ def test_load_run_round_trip(tmp_path):
     assert rec.si == 0.5
 
 
+def test_load_run_without_manifest_infers_qubits(tmp_path):
+    _write_run(tmp_path / "run0", GENOMES_BY_CNOT[1], 2, 0.9, 0.5, 1.0, 0.4)
+    (tmp_path / "run0" / "manifest.json").unlink()
+    rec = load_run(tmp_path / "run0")
+    assert rec.n_qubits == 2
+    assert rec.cnot_gates == 4
+
+
 def test_load_run_rejects_inconsistent_counts(tmp_path):
     _write_run(tmp_path / "bad", GENOMES_BY_CNOT[0], 2, 0.9, 0.5, 1.0, 0.4,
                break_counts=True)

@@ -2,13 +2,18 @@
 import numpy as np
 import pytest
 
+from qkevo.data import SplitSpec, load_csv, make_split, minmax_scale, subset_features
 from qkevo.errors import TrainingError
-from qkevo.kernel import classical_kernel
+from qkevo.featuremap import Genome, decode, genome_length
+from qkevo.kernel import classical_kernel, quantum_gram
 from qkevo.svm import (TrainConfig, accuracy, decision_values, dual_objective,
                        predict, predict_multiclass, train_dual,
                        train_multiclass)
 
+from conftest import REPO_ROOT
 from oracles import random_feasible_alphas
+
+CANCER = REPO_ROOT / "data" / "breast_cancer.csv"
 
 
 def test_two_point_problem():
@@ -42,16 +47,26 @@ def test_xor_rbf_training_accuracy():
 
 def test_constraints_hold_on_random_problems():
     rng = np.random.default_rng(33)
+    problems = []
     for _ in range(25):
         n = int(rng.integers(6, 25))
         X = rng.normal(size=(n, 3))
         y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         if np.all(y == y[0]):
             y[0] = -y[0]
+        problems.append((X, y, float(rng.uniform(0.5, 4.0))))
+    # Here an alpha steps from inside the box to C, and alpha + (C - alpha)
+    # rounds one ulp above C unless the solver sets it to C exactly.
+    rng = np.random.default_rng(55)
+    problems.append((rng.normal(size=(6, 2)),
+                     np.where(rng.random(6) < 0.5, -1.0, 1.0), 2.9))
+    for X, y, C in problems:
         K = classical_kernel("rbf", X, X)
-        config = TrainConfig(C=float(rng.uniform(0.5, 4.0)))
+        config = TrainConfig(C=C)
         model = train_dual(K, y, config)
         assert np.all(model.alphas >= 0.0) and np.all(model.alphas <= config.C)
+        at_bound = (model.alphas < 1e-8) | (model.alphas > config.C - 1e-8)
+        assert np.all(np.isin(model.alphas[at_bound], (0.0, config.C)))
         assert abs(np.dot(model.alphas, y)) <= 1e-8
         assert dual_objective(model.alphas, K, y) >= 0.0  # beats alpha = 0
 
@@ -74,14 +89,33 @@ def test_dual_objective_beats_random_feasible_points():
 def test_kkt_audit():
     rng = np.random.default_rng(35)
     config = TrainConfig()
+    problems = []
     for _ in range(10):
         n = 20
         X = rng.normal(size=(n, 3))
         y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         if np.all(y == y[0]):
             y[0] = -y[0]
-        K = classical_kernel("rbf", X, X)
+        problems.append((classical_kernel("rbf", X, X), y))
+    # A sigmoid Gram is not PSD: some pairs have negative curvature.
+    problems.append((classical_kernel("sigmoid", X, X, gamma=1.0, coef0=-1.0), y))
+    # The quantum Grams evolution trains on: random genomes on scaled cancer
+    # features, then one split whose first negative row duplicates its first
+    # positive row, so the first pair's curvature K_ii + K_jj - 2 K_ij is 0.
+    cancer = load_csv(CANCER, "diagnosis", positive_class="malignant")
+    for k in (2, 4, 6, 8):
+        features = sorted(rng.choice(30, size=k, replace=False))
+        scaled = minmax_scale(subset_features(cancer, features), 0.0, np.pi)
+        tts = make_split(scaled, SplitSpec(60, 0, seed=k))
+        template = decode(Genome(k, rng.integers(0, 2, size=genome_length(k))))
+        problems.append((quantum_gram(template, tts.X_train), tts.y_train))
+    X = tts.X_train.copy()
+    X[np.argmax(tts.y_train < 0)] = X[np.argmax(tts.y_train > 0)]
+    problems.append((quantum_gram(template, X), tts.y_train))
+    for K, y in problems:
+        n = y.size
         model = train_dual(K, y, config)
+        assert np.all(model.alphas >= 0.0) and np.all(model.alphas <= config.C)
         margins = y * decision_values(model, K)
         for i in range(n):
             if model.alphas[i] < 1e-8:

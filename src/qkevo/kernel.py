@@ -1,18 +1,27 @@
 """Quantum fidelity kernels and the four classical comparison kernels.
 
 The quantum kernel of two samples is the squared overlap of their
-feature-map states, K(x, y) = |<phi(x)|phi(y)>|^2.  Gram matrices are
-assembled from a batch of prepared statevectors; the batched preparation
-below applies the template's gates to all rows at once and is equivalent,
-row by row, to binding each sample and running the circuit on |0...0>.
+feature-map states, K(x, y) = |<phi(x)|phi(y)>|^2.  The batched preparation
+below equals, row by row and global phase included, running each bound
+circuit gate by gate on |0...0> (``simulator``), by two exact identities:
+
+* CNOT(i,j) . RZ_j(t) . CNOT(i,j) = exp(-i t/2 Z_i Z_j), so a layer's
+  entangling blocks and Z rotations are one diagonal phase per row;
+* RX(t) . H = H . RZ(t), so X rotations move through the Hadamard layer
+  into the previous layer's phase (the first one is a scalar on |0...0>).
+
+So a layer is one Hadamard transform and one phase multiply.  Y rotations
+stay an element-wise mix of each amplitude with its bit-flipped partner.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError
 from .featuremap import FeatureMapTemplate
-from .simulator import HADAMARD_MATRIX, MAX_QUBITS
+from .simulator import MAX_QUBITS
 
 CLASSICAL_KINDS = ("linear", "poly", "rbf", "sigmoid")
 
@@ -26,62 +35,68 @@ def _as_data_matrix(X, n_features: int, name: str) -> np.ndarray:
     return X
 
 
-def _rows_apply_fixed(states: np.ndarray, mat: np.ndarray, target: int, n: int) -> np.ndarray:
-    rows = states.shape[0]
-    low, high = 1 << target, 1 << (n - 1 - target)
-    psi = states.reshape(rows, high, 2, low)
-    return np.einsum("ab,rhbl->rhal", mat, psi).reshape(rows, -1)
+@lru_cache(maxsize=None)
+def _sylvester(k: int) -> np.ndarray:
+    """H on each of k qubits as one normalised 2**k x 2**k Sylvester matrix."""
+    h = np.ones((1, 1))
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    h *= 2.0 ** (-k / 2)
+    h.flags.writeable = False
+    return h
 
 
-def _rows_apply_rotation(states: np.ndarray, axis: str, target: int,
-                         angles: np.ndarray, n: int) -> np.ndarray:
-    rows = states.shape[0]
-    low, high = 1 << target, 1 << (n - 1 - target)
-    psi = states.reshape(rows, high, 2, low)
-    half = 0.5 * angles
-    c, s = np.cos(half), np.sin(half)
-    if axis == "Z":
-        out = psi * np.stack([c - 1j * s, c + 1j * s], axis=1)[:, None, :, None]
-        return out.reshape(rows, -1)
-    mats = np.empty((rows, 2, 2), dtype=complex)
-    if axis == "X":
-        mats[:, 0, 0] = mats[:, 1, 1] = c
-        mats[:, 0, 1] = mats[:, 1, 0] = -1j * s
-    elif axis == "Y":
-        mats[:, 0, 0] = mats[:, 1, 1] = c
-        mats[:, 0, 1] = -s
-        mats[:, 1, 0] = s
-    else:
-        raise ConfigError(f"rotation axis must be 'X', 'Y' or 'Z', got {axis!r}")
-    return np.einsum("rab,rhbl->rhal", mats, psi).reshape(rows, -1)
+def _hadamard_all(states: np.ndarray, n: int) -> np.ndarray:
+    # H on n qubits = H on the high ceil(n/2) (x) H on the rest: two real matmuls.
+    high = (n + 1) // 2
+    psi = _sylvester(high) @ states.view(float).reshape(1 << high, -1)
+    psi = np.matmul(_sylvester(n - high), psi.reshape(1 << high, 1 << (n - high), -1))
+    return psi.view(complex).reshape(states.shape)
 
 
-def _rows_apply_cnot(states: np.ndarray, control: int, target: int) -> np.ndarray:
-    idx = np.arange(states.shape[1])
-    src = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-    return states[:, src]
+def _phase(angles: np.ndarray) -> np.ndarray:
+    # exp(-i angles/2): cos and sin written in place cost about half of np.exp.
+    out = np.empty(angles.shape, dtype=complex)
+    np.cos(0.5 * angles, out=out.real)
+    np.sin(-0.5 * angles, out=out.imag)
+    return out
+
+
+def _rotate_y(states: np.ndarray, q: int, angles: np.ndarray) -> None:
+    # RY is real, so it mixes the real and imaginary parts alike, in place.
+    psi = states.view(float).reshape(-1, 2, 1 << q, 2 * states.shape[1])
+    c, s = np.repeat(np.cos(0.5 * angles), 2), np.repeat(np.sin(0.5 * angles), 2)
+    zero, one = psi[:, 0], psi[:, 1]
+    zero[...], one[...] = c * zero - s * one, s * zero + c * one
 
 
 def prepare_states(template: FeatureMapTemplate, X) -> np.ndarray:
     """Feature-map statevectors for every row of X, shape (rows, 2**n_qubits)."""
-    n = template.n_qubits
+    n, axis = template.n_qubits, template.rotation_axis
     if not 1 <= n <= MAX_QUBITS:
         raise ConfigError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n}")
-    X = _as_data_matrix(X, n, "X")
-    rows = X.shape[0]
-    states = np.zeros((rows, 2 ** n), dtype=complex)
-    states[:, 0] = 1.0
-    for _ in range(template.depth):
-        for q in range(n):
-            states = _rows_apply_fixed(states, HADAMARD_MATRIX, q, n)
-        for q in range(n):
-            if template.rotation_enabled[q]:
-                states = _rows_apply_rotation(states, template.rotation_axis, q, X[:, q], n)
-        for i, j in template.entangle_pairs:
-            states = _rows_apply_cnot(states, i, j)
-            states = _rows_apply_rotation(states, "Z", j, X[:, i] * X[:, j], n)
-            states = _rows_apply_cnot(states, i, j)
-    return states
+    X = _as_data_matrix(X, n, "X").T
+    rot = np.flatnonzero(template.rotation_enabled)
+    if rot.size and axis not in ("X", "Y", "Z"):
+        raise ConfigError(f"rotation axis must be 'X', 'Y' or 'Z', got {axis!r}")
+    # Rows of X are columns here; z[b, q] is the eigenvalue of Z_q on basis index b.
+    z = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    i, j = np.array(template.entangle_pairs, dtype=int).reshape(-1, 2).T
+    zz = (z[:, i] * z[:, j]) @ (X[i] * X[j])
+    rz = z[:, rot] @ X[rot] if axis != "Y" else 0.0
+    last = _phase(zz + rz if axis == "Z" else zz)
+    inner = _phase(zz + rz) if axis == "X" and template.depth > 1 else last
+    states = np.full((1 << n, X.shape[1]), 2.0 ** (-n / 2), dtype=complex)  # H|0...0>
+    if axis == "X":
+        states *= _phase(X[rot].sum(axis=0))
+    for layer in range(template.depth):
+        if layer:
+            states = _hadamard_all(states, n)
+        if axis == "Y":
+            for q in rot:
+                _rotate_y(states, q, X[q])
+        states *= inner if layer + 1 < template.depth else last
+    return states.T
 
 
 def quantum_gram(template: FeatureMapTemplate, X) -> np.ndarray:

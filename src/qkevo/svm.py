@@ -64,10 +64,11 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float,
     alpha = np.zeros(y.size)
     v = y.copy()
     pos = y > 0
+    # Membership of I_up and I_low; only rows i and j can change it.
+    in_up, in_low = pos.copy(), ~pos
     for _ in range(max_iterations):
-        below, above = alpha < C, alpha > 0.0
-        up = np.where((pos & below) | (~pos & above), v, -np.inf)
-        low = np.where((~pos & below) | (pos & above), v, np.inf)
+        up = np.where(in_up, v, -np.inf)
+        low = np.where(in_low, v, np.inf)
         i, j = int(np.argmax(up)), int(np.argmin(low))
         gap = up[i] - low[j]
         if gap <= tol:
@@ -85,6 +86,9 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float,
             alpha[i] = C if pos[i] else 0.0
         if t == room_j:
             alpha[j] = 0.0 if pos[j] else C
+        for k in (i, j):
+            below, above = alpha[k] < C, alpha[k] > 0.0
+            in_up[k], in_low[k] = (below, above) if pos[k] else (above, below)
         v -= t * (K[:, i] - K[:, j])
     return alpha
 
@@ -231,9 +235,7 @@ def predict_multiclass(ensemble: MulticlassModel, cross) -> np.ndarray:
         votes[~won_a, ib] += 1
         strength[won_a, ia] += np.abs(dec[won_a])
         strength[~won_a, ib] += np.abs(dec[~won_a])
-    # Lexicographic argmax on (votes, strength), first class wins full ties.
-    best = np.zeros(n_test, dtype=int)
-    for r in range(n_test):
-        keys = list(zip(votes[r], strength[r]))
-        best[r] = max(range(n_classes), key=lambda c: (keys[c], -c))
-    return ensemble.classes[best]
+    # Lexicographic argmax on (votes, strength); argmax takes the first
+    # class of a full tie.
+    most = votes == votes.max(axis=1, keepdims=True)
+    return ensemble.classes[np.argmax(np.where(most, strength, -np.inf), axis=1)]

@@ -8,6 +8,8 @@ from qkevo.kernel import (classical_kernel, prepare_states, quantum_cross,
                           quantum_gram)
 from qkevo.simulator import MAX_QUBITS, fidelity_overlap, prepare_state
 
+from oracles import statevector_by_matrix
+
 
 def random_template(rng, n):
     return decode(Genome(n, rng.integers(0, 2, size=genome_length(n))))
@@ -23,6 +25,45 @@ def test_prepare_states_matches_per_row_route():
         for r in range(X.shape[0]):
             ref = prepare_state(bind(t, X[r]), n).amplitudes
             np.testing.assert_allclose(batch[r], ref, atol=1e-12)
+
+
+def genome_from_parts(n, rotations, axis_code, pairs, depth):
+    """Genome with every rotation flag and every pair flag set to one value."""
+    bits = ([rotations] * n + [int(c) for c in axis_code]
+            + [pairs] * (n * (n - 1) // 2) + [(depth - 1) >> 1, (depth - 1) & 1])
+    return Genome(n, bits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_prepare_states_matches_unitary_oracle(n):
+    # Every axis code (10 and 11 both mean Z), with all rotations off, with
+    # no pairs and with all pairs, at every depth, against the product of
+    # full 2^n x 2^n gate matrices.
+    rng = np.random.default_rng(40 + n)
+    X = rng.uniform(-np.pi, np.pi, size=(2, n))
+    for axis_code in ("00", "01", "10", "11"):
+        for rotations, pairs in ((0, 1), (1, 0), (1, 1)):
+            for depth in range(1, 5):
+                t = decode(genome_from_parts(n, rotations, axis_code, pairs, depth))
+                batch = prepare_states(t, X)
+                for r in range(X.shape[0]):
+                    want = statevector_by_matrix(bind(t, X[r]), n)
+                    np.testing.assert_allclose(batch[r], want, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, MAX_QUBITS])
+def test_prepare_states_matches_simulator_at_width(n):
+    rng = np.random.default_rng(50 + n)
+    X = rng.uniform(0, np.pi, size=(2, n))
+    for axis_code in ("00", "01", "10", "11"):
+        bits = rng.integers(0, 2, size=genome_length(n))
+        bits[n:n + 2] = [int(c) for c in axis_code]
+        bits[-2:] = 1  # depth 4
+        t = decode(Genome(n, bits))
+        batch = prepare_states(t, X)
+        for r in range(X.shape[0]):
+            np.testing.assert_allclose(batch[r], prepare_state(bind(t, X[r]), n).amplitudes,
+                                       atol=1e-12)
 
 
 def test_gram_identical_rows():

@@ -6,9 +6,9 @@ from qkevo.data import SplitSpec, load_csv, make_split, minmax_scale, subset_fea
 from qkevo.errors import TrainingError
 from qkevo.featuremap import Genome, decode, genome_length
 from qkevo.kernel import classical_kernel, quantum_gram
-from qkevo.svm import (TrainConfig, accuracy, decision_values, dual_objective,
-                       predict, predict_multiclass, train_dual,
-                       train_multiclass)
+from qkevo.svm import (MulticlassModel, SvmModel, TrainConfig, accuracy,
+                       decision_values, dual_objective, predict,
+                       predict_multiclass, train_dual, train_multiclass)
 
 from conftest import REPO_ROOT
 from oracles import random_feasible_alphas
@@ -235,6 +235,24 @@ def test_multiclass_unanimous_vote_wins():
     cross = classical_kernel("rbf", X[:1], X)
     # the first blob's own point: both its pair models vote class 0
     assert predict_multiclass(ensemble, cross)[0] == y[0]
+
+
+def test_multiclass_vote_tie_breaks():
+    # Pair model k reads only cross column k with weight 1 and bias 0, so
+    # cross[r, k] is its decision value: >= 0 votes for the pair's first class.
+    unit = SvmModel(alphas=np.array([1.0]), bias=0.0, support_indices=np.array([0]),
+                    train_labels=np.array([1.0]), regularization=1.0)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    ensemble = MulticlassModel(classes=np.array(["a", "b", "c"]), pairs=pairs,
+                               models=[unit] * 3,
+                               pair_rows=[np.array([k]) for k in range(3)])
+    cross = np.array([
+        [0.1, 0.1, -5.0],   # votes a=2, c=1: votes win over c's strength
+        [0.5, -2.0, 1.0],   # one vote each: strength a=0.5, b=1, c=2
+        [1.0, -1.0, 1.0],   # one vote each, equal strength: first class
+        [-1.0, 1.0, -1.0],  # one vote each (b, a, c), equal strength: first class
+    ])
+    assert list(predict_multiclass(ensemble, cross)) == ["a", "c", "a", "a"]
 
 
 def test_multiclass_needs_two_classes():

@@ -2,10 +2,9 @@
 # classical kernels on the same split.
 import numpy as np
 
-from qkevo import (Genome, SplitSpec, TrainConfig, accuracy, classical_kernel,
-                   decode, load_csv, make_split, minmax_scale,
-                   predict_multiclass, quantum_cross, quantum_gram,
-                   subset_features, train_multiclass)
+from qkevo import (Genome, SplitSpec, TrainConfig, classical_kernel, decode,
+                   fit_score, load_csv, make_split, minmax_scale, quantum_cross,
+                   quantum_gram, subset_features)
 
 iris = load_csv("data/iris.csv", "species")
 sub = subset_features(iris, [2, 3])  # petal length & width
@@ -19,14 +18,13 @@ gram = quantum_gram(template, tts.X_train)
 cross = quantum_cross(template, tts.X_test, tts.X_train)
 print("gram shape:", gram.shape, " diagonal ~1:", np.allclose(np.diag(gram), 1))
 
+# Three Iris classes, so fit_score trains a one-vs-one ensemble.
 config = TrainConfig(C=1.0)
-model = train_multiclass(gram, tts.y_train, config)
-quantum_acc = accuracy(predict_multiclass(model, cross), tts.y_test)
+quantum_acc = fit_score(gram, cross, tts.y_train, tts.y_test, config)
 print(f"quantum kernel test accuracy: {quantum_acc:.3f}")
 
 for kind in ("linear", "poly", "rbf", "sigmoid"):
     k_train = classical_kernel(kind, tts.X_train, tts.X_train)
     k_test = classical_kernel(kind, tts.X_test, tts.X_train)
-    clf = train_multiclass(k_train, tts.y_train, config)
-    acc = accuracy(predict_multiclass(clf, k_test), tts.y_test)
+    acc = fit_score(k_train, k_test, tts.y_train, tts.y_test, config)
     print(f"{kind:8s} kernel test accuracy: {acc:.3f}")

@@ -24,7 +24,7 @@ from .simulator import (CNot, GateOp, Hadamard, Rotation, Statevector,
                         apply_circuit, apply_gate, fidelity_overlap,
                         new_zero_state, prepare_state, rotation_matrix)
 from .svm import (MulticlassModel, SvmModel, TrainConfig, accuracy,
-                  decision_values, dual_objective, predict, predict_multiclass,
-                  train_dual, train_multiclass)
+                  decision_values, dual_objective, fit_score, predict,
+                  predict_multiclass, train_dual, train_multiclass)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +35,9 @@ from .featuremap import Genome, decode, gate_counts
 from .kernel import CLASSICAL_KINDS, classical_kernel, quantum_gram
 from .nsga2 import (EarlyStop, EvolveConfig, EvolveResult, evolve,
                     svm_evaluator)
-from .report import correlation_rows, gate_means, scan_runs
-from .separability import compute_indexes
-from .svm import (TrainConfig, accuracy, predict, predict_multiclass,
-                  train_dual, train_multiclass)
+from .report import best_pareto_record, correlation_rows, gate_means, scan_runs
+from .separability import HMI_MODES, compute_indexes
+from .svm import TrainConfig, fit_score
 
 DEFAULT_SCALE_HI = math.pi
 
@@ -47,21 +46,16 @@ DEFAULT_SCALE_HI = math.pi
 class RunConfig:
     dataset_path: str
     label_column: str | int
-    positive_class: str | None = None
-    features: list[int] | None = None  # explicit feature list ...
-    combo_count: int | None = None     # ... or sampled combos of size n_qubits
-    combo_seed: int = 0
-    n_qubits: int | None = None
-    n_train: int = 100
-    n_test: int = 50
-    split_seed: int = 0
-    stratified: bool = True
-    scale_lo: float = 0.0
-    scale_hi: float = DEFAULT_SCALE_HI
-    svm: TrainConfig = field(default_factory=TrainConfig)
-    evolve: EvolveConfig | None = None
-    hmi_mode: str = "sum"
-    out_dir: str = "runs"
+    positive_class: str | None
+    features: list[int] | None  # explicit feature list ...
+    combo_count: int | None     # ... or sampled combos of size evolve.n_qubits
+    combo_seed: int
+    split: SplitSpec
+    scale: tuple[float, float]  # (lo, hi) of the feature-angle range
+    svm: TrainConfig
+    evolve: EvolveConfig
+    hmi_mode: str
+    out_dir: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +94,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--stagnation", type=int,
                      help="early stop after this many stagnant generations")
     sub.add_argument("--svm-c", type=float, help="SVM box constraint C")
-    sub.add_argument("--hmi-mode", choices=("sum", "mean"))
+    sub.add_argument("--hmi-mode", choices=HMI_MODES)
     sub.add_argument("--out", help="output directory")
 
 
@@ -167,7 +161,7 @@ def _pick(flag, cfg: dict, key: str, default):
 
 
 def _resolve(args) -> RunConfig:
-    cfg = _load_config_file(getattr(args, "config", None))
+    cfg = _load_config_file(args.config)
     ds_cfg = cfg.get("dataset", {})
     split_cfg = cfg.get("split", {})
     scale_cfg = cfg.get("scaling", {})
@@ -204,26 +198,44 @@ def _resolve(args) -> RunConfig:
     if combo_count is None and features is None:
         features = list(range(n_qubits))
 
+    hmi_mode = _pick(args.hmi_mode, cfg, "hmi_mode", "sum")
+    if hmi_mode not in HMI_MODES:
+        raise ConfigError(f"hmi_mode must be one of {HMI_MODES}, got {hmi_mode!r}")
+
     early = ga_cfg.get("early_stop", {})
-    target_acc = _pick(args.target_accuracy, early, "target_accuracy", None)
-    stagnation = _pick(args.stagnation, early, "stagnation_generations", None)
+    target_acc = _pick(args.target_accuracy, early, "target_accuracy",
+                       EarlyStop.target_accuracy)
+    stagnation = _pick(args.stagnation, early, "stagnation_generations",
+                       EarlyStop.stagnation_generations)
     evolve_config = EvolveConfig(
         n_qubits=int(n_qubits),
-        population_size=int(_pick(args.population, ga_cfg, "population_size", 32)),
-        generations=int(_pick(args.generations, ga_cfg, "generations", 50)),
-        crossover_prob=float(_pick(args.crossover_prob, ga_cfg, "crossover_prob", 0.8)),
-        mutation_prob=_pick(args.mutation_prob, ga_cfg, "mutation_prob", None),
-        tournament_size=int(_pick(args.tournament_size, ga_cfg, "tournament_size", 2)),
-        seed=int(_pick(args.seed, ga_cfg, "seed", 0)),
+        population_size=int(_pick(args.population, ga_cfg, "population_size",
+                                  EvolveConfig.population_size)),
+        generations=int(_pick(args.generations, ga_cfg, "generations",
+                              EvolveConfig.generations)),
+        crossover_prob=float(_pick(args.crossover_prob, ga_cfg, "crossover_prob",
+                                   EvolveConfig.crossover_prob)),
+        mutation_prob=_pick(args.mutation_prob, ga_cfg, "mutation_prob",
+                            EvolveConfig.mutation_prob),
+        tournament_size=int(_pick(args.tournament_size, ga_cfg, "tournament_size",
+                                  EvolveConfig.tournament_size)),
+        seed=int(_pick(args.seed, ga_cfg, "seed", EvolveConfig.seed)),
         early_stop=EarlyStop(
             target_accuracy=None if target_acc is None else float(target_acc),
             stagnation_generations=None if stagnation is None else int(stagnation),
         ),
     )
     train_config = TrainConfig(
-        C=float(_pick(args.svm_c, svm_cfg, "C", 1.0)),
-        tolerance=float(svm_cfg.get("tolerance", 1e-3)),
-        max_iterations=int(svm_cfg.get("max_iterations", 100_000)),
+        C=float(_pick(args.svm_c, svm_cfg, "C", TrainConfig.C)),
+        tolerance=float(svm_cfg.get("tolerance", TrainConfig.tolerance)),
+        max_iterations=int(svm_cfg.get("max_iterations", TrainConfig.max_iterations)),
+    )
+    split_spec = SplitSpec(
+        n_train=int(_pick(args.train_size, split_cfg, "n_train", 100)),
+        n_test=int(_pick(args.test_size, split_cfg, "n_test", 50)),
+        seed=int(_pick(args.split_seed, split_cfg, "seed", SplitSpec.seed)),
+        stratified=(not args.no_stratify
+                    and bool(split_cfg.get("stratified", SplitSpec.stratified))),
     )
     return RunConfig(
         dataset_path=str(dataset_path),
@@ -232,16 +244,12 @@ def _resolve(args) -> RunConfig:
         features=features,
         combo_count=None if combo_count is None else int(combo_count),
         combo_seed=int(_pick(args.combo_seed, feat_cfg, "seed", 0)),
-        n_qubits=int(n_qubits),
-        n_train=int(_pick(args.train_size, split_cfg, "n_train", 100)),
-        n_test=int(_pick(args.test_size, split_cfg, "n_test", 50)),
-        split_seed=int(_pick(args.split_seed, split_cfg, "seed", 0)),
-        stratified=not args.no_stratify and bool(split_cfg.get("stratified", True)),
-        scale_lo=float(_pick(args.scale_lo, scale_cfg, "lo", 0.0)),
-        scale_hi=float(_pick(args.scale_hi, scale_cfg, "hi", DEFAULT_SCALE_HI)),
+        split=split_spec,
+        scale=(float(_pick(args.scale_lo, scale_cfg, "lo", 0.0)),
+               float(_pick(args.scale_hi, scale_cfg, "hi", DEFAULT_SCALE_HI))),
         svm=train_config,
         evolve=evolve_config,
-        hmi_mode=_pick(getattr(args, "hmi_mode", None), cfg, "hmi_mode", "sum"),
+        hmi_mode=hmi_mode,
         out_dir=str(_pick(args.out, cfg, "out", "runs")),
     )
 
@@ -249,16 +257,13 @@ def _resolve(args) -> RunConfig:
 def _feature_combos(run: RunConfig, dataset: Dataset) -> list[tuple[int, ...]]:
     if run.features is not None:
         return [tuple(run.features)]
-    return sample_feature_combos(dataset.X.shape[1], run.n_qubits,
+    return sample_feature_combos(dataset.X.shape[1], run.evolve.n_qubits,
                                  run.combo_count, seed=run.combo_seed)
 
 
 def _prepared_split(run: RunConfig, dataset: Dataset, combo):
     sub = subset_features(dataset, combo)
-    scaled = minmax_scale(sub, run.scale_lo, run.scale_hi)
-    spec = SplitSpec(n_train=run.n_train, n_test=run.n_test,
-                     seed=run.split_seed, stratified=run.stratified)
-    return sub, make_split(scaled, spec)
+    return sub, make_split(minmax_scale(sub, *run.scale), run.split)
 
 
 def _combo_label(combo) -> str:
@@ -290,8 +295,7 @@ def _pareto_records(result: EvolveResult) -> list[dict]:
     return records
 
 
-def _write_run_outputs(out_dir: Path, run: RunConfig, combo,
-                       dataset: Dataset, sub: Dataset,
+def _write_run_outputs(out_dir: Path, run: RunConfig, combo, sub: Dataset,
                        result: EvolveResult) -> list[dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = _pareto_records(result)
@@ -311,10 +315,9 @@ def _write_run_outputs(out_dir: Path, run: RunConfig, combo,
         "label_column": run.label_column,
         "positive_class": run.positive_class,
         "features": list(combo),
-        "n_qubits": run.n_qubits,
-        "split": {"n_train": run.n_train, "n_test": run.n_test,
-                  "seed": run.split_seed, "stratified": run.stratified},
-        "scaling": {"lo": run.scale_lo, "hi": run.scale_hi},
+        "n_qubits": run.evolve.n_qubits,
+        "split": asdict(run.split),
+        "scaling": {"lo": run.scale[0], "hi": run.scale[1]},
         "svm": asdict(run.svm),
         "evolve": asdict(run.evolve),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -333,24 +336,18 @@ def cmd_evolve(args) -> int:
         sub, tts = _prepared_split(run, dataset, combo)
         result = evolve(run.evolve, svm_evaluator(tts, run.svm))
         out_dir = base if len(combos) == 1 else base / f"combo_{_combo_label(combo)}"
-        records = _write_run_outputs(out_dir, run, combo, dataset, sub, result)
-        best = records[0]
+        records = _write_run_outputs(out_dir, run, combo, sub, result)
+        best = best_pareto_record(records)
         print(f"{out_dir}: front size {len(records)}, "
               f"best accuracy {best['accuracy']:.4f} "
               f"(local {best['local_gates']}, cnot {best['cnot_gates']})")
     return 0
 
 
-def _classical_accuracy(kind: str, tts, multiclass: bool, svm: TrainConfig) -> float:
-    gram = classical_kernel(kind, tts.X_train, tts.X_train)
-    cross = classical_kernel(kind, tts.X_test, tts.X_train)
-    if multiclass:
-        model = train_multiclass(gram, tts.y_train, svm)
-        predicted = predict_multiclass(model, cross)
-    else:
-        model = train_dual(gram, tts.y_train, svm)
-        predicted = predict(model, cross)
-    return accuracy(predicted, tts.y_test)
+def _dump_gram(dump_dir: str, combo, kind: str, gram: np.ndarray) -> None:
+    _write_csv(Path(dump_dir) / f"gram_{_combo_label(combo)}_{kind}.csv",
+               [f"c{i}" for i in range(gram.shape[1])],
+               [[repr(v) for v in row] for row in gram.tolist()])
 
 
 def cmd_kernels(args) -> int:
@@ -361,27 +358,22 @@ def cmd_kernels(args) -> int:
     header = ["features", *CLASSICAL_KINDS] + (["quantum"] if quantum else [])
     rows = []
     for combo in combos:
-        sub, tts = _prepared_split(run, dataset, combo)
-        multiclass = not set(np.unique(tts.y_train)).issubset({-1, 1})
-        accs = [_classical_accuracy(kind, tts, multiclass, run.svm)
-                for kind in CLASSICAL_KINDS]
-        if args.dump_grams:
-            dump_dir = Path(args.dump_grams)
-            for kind in CLASSICAL_KINDS:
-                gram = classical_kernel(kind, tts.X_train, tts.X_train)
-                _write_csv(dump_dir / f"gram_{_combo_label(combo)}_{kind}.csv",
-                           [f"c{i}" for i in range(gram.shape[1])],
-                           [[repr(v) for v in row] for row in gram])
+        _, tts = _prepared_split(run, dataset, combo)
+        accs = []
+        for kind in CLASSICAL_KINDS:
+            gram = classical_kernel(kind, tts.X_train, tts.X_train)
+            cross = classical_kernel(kind, tts.X_test, tts.X_train)
+            accs.append(fit_score(gram, cross, tts.y_train, tts.y_test, run.svm))
+            if args.dump_grams:
+                _dump_gram(args.dump_grams, combo, kind, gram)
         if quantum:
             result = evolve(run.evolve, svm_evaluator(tts, run.svm))
-            records = _pareto_records(result)
-            accs.append(records[0]["accuracy"])
+            best = best_pareto_record(_pareto_records(result))
+            accs.append(best["accuracy"])
             if args.dump_grams:
-                template = decode(Genome.from_string(records[0]["genome"], run.n_qubits))
-                gram = quantum_gram(template, tts.X_train)
-                _write_csv(Path(args.dump_grams) / f"gram_{_combo_label(combo)}_quantum.csv",
-                           [f"c{i}" for i in range(gram.shape[1])],
-                           [[repr(v) for v in row] for row in gram])
+                template = decode(Genome.from_string(best["genome"], run.evolve.n_qubits))
+                _dump_gram(args.dump_grams, combo, "quantum",
+                           quantum_gram(template, tts.X_train))
         rows.append([";".join(str(i) for i in combo)] + [repr(a) for a in accs])
     means = [repr(float(np.mean([float(r[c]) for r in rows])))
              for c in range(1, len(header))]

@@ -16,8 +16,7 @@ from .data import TrainTestSplit
 from .errors import ConfigError, EvaluationError, TrainingError
 from .featuremap import Genome, decode, gate_counts, genome_length
 from .kernel import quantum_cross, quantum_gram
-from .svm import (TrainConfig, accuracy, predict, predict_multiclass,
-                  train_dual, train_multiclass)
+from .svm import TrainConfig, fit_score
 
 
 @dataclass(frozen=True)
@@ -149,29 +148,21 @@ def crowding_distance(objectives) -> np.ndarray:
 
 def svm_evaluator(split: TrainTestSplit,
                   svm_config: TrainConfig | None = None) -> Callable[[Genome], Objectives]:
-    """Fitness function: decode, build quantum kernels, train, score.
+    """Fitness function: decode, build quantum kernels, score with
+    :func:`qkevo.svm.fit_score`.  A split without test rows has nothing to
+    score, so it is a configuration error."""
+    if split.y_test.size == 0:
+        raise ConfigError("the split has no test rows to score fitness on")
 
-    Labels entirely within {-1, +1} train a single binary model; any other
-    label coding trains a one-vs-one ensemble.
-    """
     def evaluate(genome: Genome) -> Objectives:
         template = decode(genome)
         counts = gate_counts(template)
-        if np.unique(split.y_train).size < 2:
-            raise EvaluationError("training split contains a single class")
         gram = quantum_gram(template, split.X_train)
         cross = quantum_cross(template, split.X_test, split.X_train)
-        binary = set(np.unique(split.y_train)).issubset({-1, 1})
         try:
-            if binary:
-                model = train_dual(gram, split.y_train, svm_config)
-                predicted = predict(model, cross)
-            else:
-                ensemble = train_multiclass(gram, split.y_train, svm_config)
-                predicted = predict_multiclass(ensemble, cross)
+            acc = fit_score(gram, cross, split.y_train, split.y_test, svm_config)
         except TrainingError as exc:
             raise EvaluationError(str(exc)) from exc
-        acc = accuracy(predicted, split.y_test)
         return Objectives(acc, counts.local, counts.cnot)
 
     return evaluate
@@ -248,24 +239,14 @@ def _refill(merged: list[Individual], pop_size: int) -> list[Individual]:
     """Environmental selection: fill by front, truncate the last front by
     crowding (descending), preferring higher accuracy among ties so the
     best-accuracy point always survives."""
-    fronts = fast_nondominated_sort([ind.objectives for ind in merged])
-    new_pop: list[Individual] = []
-    for k, front in enumerate(fronts):
-        members = [merged[i] for i in front]
-        dist = crowding_distance([ind.objectives for ind in members])
-        for ind, d in zip(members, dist):
-            ind.rank = k + 1
-            ind.crowding = float(d)
-        if len(new_pop) + len(members) <= pop_size:
-            new_pop.extend(members)
-            if len(new_pop) == pop_size:
-                break
-        else:
-            order = sorted(range(len(members)),
-                           key=lambda t: (-dist[t], -members[t].objectives.accuracy, t))
-            new_pop.extend(members[t] for t in order[:pop_size - len(new_pop)])
-            break
-    return new_pop
+    _assign_fronts(merged)
+    ranked = sorted(merged, key=lambda ind: ind.rank)
+    last = ranked[pop_size - 1].rank
+    kept = [ind for ind in ranked if ind.rank < last]
+    tail = [ind for ind in ranked if ind.rank == last]
+    if len(kept) + len(tail) > pop_size:
+        tail.sort(key=lambda ind: (-ind.crowding, -ind.objectives.accuracy))
+    return kept + tail[:pop_size - len(kept)]
 
 
 def evolve(config: EvolveConfig,

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Ways :func:`hypothesis_margin_index` aggregates the per-instance margins.
+HMI_MODES = ("sum", "mean")
+
 
 def _scale01(X: np.ndarray) -> np.ndarray:
     lo = X.min(axis=0)
@@ -52,8 +55,8 @@ def hypothesis_margin_index(X, y, mode: str = "sum") -> float:
     Features are min-max scaled to [0, 1] first.  ``mode`` selects the
     aggregation: "sum" (default) or "mean" over instances.
     """
-    if mode not in ("sum", "mean"):
-        raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
+    if mode not in HMI_MODES:
+        raise ValueError(f"mode must be one of {HMI_MODES}, got {mode!r}")
     X, y = _as_labeled(X, y)
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2:

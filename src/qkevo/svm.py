@@ -239,3 +239,18 @@ def predict_multiclass(ensemble: MulticlassModel, cross) -> np.ndarray:
     # class of a full tie.
     most = votes == votes.max(axis=1, keepdims=True)
     return ensemble.classes[np.argmax(np.where(most, strength, -np.inf), axis=1)]
+
+
+def fit_score(gram, cross, y_train, y_test,
+              config: TrainConfig | None = None) -> float:
+    """Test accuracy of an SVM trained on a precomputed Gram matrix.
+
+    Labels entirely within {-1, +1} train a single binary model; any other
+    label coding trains a one-vs-one ensemble.  ``cross`` holds the kernel
+    between the test rows and the training rows.
+    """
+    if set(np.unique(y_train)).issubset({-1, 1}):
+        predicted = predict(train_dual(gram, y_train, config), cross)
+    else:
+        predicted = predict_multiclass(train_multiclass(gram, y_train, config), cross)
+    return accuracy(predicted, y_test)

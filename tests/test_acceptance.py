@@ -19,14 +19,13 @@ from qkevo.cli import main
 from qkevo.data import (SplitSpec, load_csv, make_split, minmax_scale,
                         sample_feature_combos, subset_features)
 from qkevo.featuremap import Genome, bind, decode, genome_length
-from qkevo.kernel import classical_kernel, quantum_gram
+from qkevo.kernel import CLASSICAL_KINDS, classical_kernel, quantum_gram
 from qkevo.nsga2 import (EvolveConfig, Objectives, evolve,
                          fast_nondominated_sort, svm_evaluator)
 from qkevo.report import best_pareto_record, spearman
 from qkevo.separability import compute_indexes
 from qkevo.simulator import Hadamard, Rotation, fidelity_overlap, prepare_state
-from qkevo.svm import TrainConfig, accuracy, dual_objective, predict, \
-    predict_multiclass, train_dual, train_multiclass
+from qkevo.svm import dual_objective, fit_score, train_dual
 
 from conftest import REPO_ROOT
 from oracles import peel_fronts, random_circuit, random_feasible_alphas, \
@@ -209,17 +208,10 @@ def test_criterion_09_iris_evolution():
 
 
 def _best_classical(tts) -> float:
-    multiclass = not set(np.unique(tts.y_train)).issubset({-1, 1})
-    best = 0.0
-    for kind in ("linear", "poly", "rbf", "sigmoid"):
-        gram = classical_kernel(kind, tts.X_train, tts.X_train)
-        cross = classical_kernel(kind, tts.X_test, tts.X_train)
-        if multiclass:
-            pred = predict_multiclass(train_multiclass(gram, tts.y_train), cross)
-        else:
-            pred = predict(train_dual(gram, tts.y_train), cross)
-        best = max(best, accuracy(pred, tts.y_test))
-    return best
+    return max(fit_score(classical_kernel(kind, tts.X_train, tts.X_train),
+                         classical_kernel(kind, tts.X_test, tts.X_train),
+                         tts.y_train, tts.y_test)
+               for kind in CLASSICAL_KINDS)
 
 
 def test_criterion_10_breast_cancer_trend():

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from qkevo.cli import main
+from qkevo.data import SplitSpec, load_csv, make_split, minmax_scale, subset_features
 from qkevo.featuremap import Genome, decode, gate_counts
+from qkevo.kernel import CLASSICAL_KINDS, classical_kernel
 from qkevo.nsga2 import Objectives, dominates
+from qkevo.report import best_pareto_record
 
 from conftest import REPO_ROOT
 
@@ -22,11 +25,14 @@ def _evolve_args(out, features="0,1", generations="3", seed="7", extra=()):
             "--out", str(out), *extra]
 
 
-def test_evolve_writes_outputs(tmp_path):
+def test_evolve_writes_outputs(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(_evolve_args(out)) == 0
     records = json.loads((out / "pareto.json").read_text())
     assert records
+    best = best_pareto_record(records)
+    assert (f"best accuracy {best['accuracy']:.4f} (local {best['local_gates']}, "
+            f"cnot {best['cnot_gates']})") in capsys.readouterr().out
     assert all(r["rank"] == 1 for r in records)
     history = (out / "history.csv").read_text().strip().splitlines()
     assert history[0] == "generation,best_accuracy,front_size,min_local,min_cnot"
@@ -88,6 +94,45 @@ def test_evolve_too_many_qubits_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_evolve_config_file_precedence(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "split": {"n_train": 60, "n_test": 30, "seed": 3},
+        "svm": {"C": 2.0},
+        "evolve": {"population_size": 8, "generations": 2, "seed": 5},
+    }))
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(config), "--dataset", IRIS,
+                 "--label-col", "species", "--features", "0,1",
+                 "--generations", "1", "--split-seed", "4", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # a file value beats the default ...
+    assert manifest["evolve"]["population_size"] == 8
+    assert manifest["evolve"]["seed"] == 5
+    assert manifest["svm"]["C"] == 2.0
+    assert manifest["split"] == {"n_train": 60, "n_test": 30, "seed": 4,
+                                 "stratified": True}
+    # ... and a flag beats the file
+    assert manifest["evolve"]["generations"] == 1
+    assert manifest["evolve"]["tournament_size"] == 2
+    assert manifest["scaling"] == {"lo": 0.0, "hi": np.pi}
+
+
+def test_unknown_hmi_mode_in_config_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"hmi_mode": "median"}))
+    out = tmp_path / "run"
+    assert main(_evolve_args(out, extra=("--config", str(config)))) == 1
+    assert "hmi_mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_without_test_rows_is_usage_error(tmp_path):
+    out = tmp_path / "run"
+    assert main(_evolve_args(out, extra=("--test-size", "0"))) == 1
+    assert not out.exists()
+
+
 def test_kernels_classical_only(tmp_path):
     out = tmp_path / "k"
     code = main(["kernels", "--dataset", IRIS, "--label-col", "species",
@@ -111,6 +156,24 @@ def test_kernels_with_quantum_column(tmp_path):
     rows = (out / "kernels.csv").read_text().strip().splitlines()
     assert rows[0].endswith(",quantum")
     assert len(rows) == 3
+
+
+def test_kernels_dump_grams(tmp_path):
+    dump = tmp_path / "grams"
+    assert main(["kernels", "--dataset", IRIS, "--label-col", "species",
+                 "--features", "0,1", "--population", "4", "--generations", "0",
+                 "--train-size", "60", "--test-size", "30",
+                 "--out", str(tmp_path / "k"), "--dump-grams", str(dump)]) == 0
+    names = sorted(p.name for p in dump.iterdir())
+    assert names == sorted(f"gram_0-1_{kind}.csv"
+                           for kind in (*CLASSICAL_KINDS, "quantum"))
+    iris = minmax_scale(subset_features(load_csv(IRIS, "species"), [0, 1]), 0.0, np.pi)
+    tts = make_split(iris, SplitSpec(60, 30))
+    for kind in CLASSICAL_KINDS:
+        lines = (dump / f"gram_0-1_{kind}.csv").read_text().strip().splitlines()
+        assert lines[0] == ",".join(f"c{i}" for i in range(60))
+        dumped = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(dumped, classical_kernel(kind, tts.X_train, tts.X_train))
 
 
 def test_separability_rows(tmp_path):

@@ -7,7 +7,7 @@ from qkevo.errors import TrainingError
 from qkevo.featuremap import Genome, decode, genome_length
 from qkevo.kernel import classical_kernel, quantum_gram
 from qkevo.svm import (MulticlassModel, SvmModel, TrainConfig, accuracy,
-                       decision_values, dual_objective, predict,
+                       decision_values, dual_objective, fit_score, predict,
                        predict_multiclass, train_dual, train_multiclass)
 
 from conftest import REPO_ROOT
@@ -258,3 +258,21 @@ def test_multiclass_vote_tie_breaks():
 def test_multiclass_needs_two_classes():
     with pytest.raises(TrainingError):
         train_multiclass(np.eye(3), np.zeros(3))
+
+
+def test_fit_score_picks_binary_or_one_vs_one_by_label_coding():
+    rng = np.random.default_rng(41)
+    X, y_ids = _blobs(rng, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)], 12, sigma=1.5)
+    train, test = np.arange(0, 36, 2), np.arange(1, 36, 2)
+    K = classical_kernel("rbf", X[train], X[train])
+    cross = classical_kernel("rbf", X[test], X[train])
+    config = TrainConfig(C=2.0)
+    ensemble = train_multiclass(K, y_ids[train], config)
+    assert fit_score(K, cross, y_ids[train], y_ids[test], config) == \
+        accuracy(predict_multiclass(ensemble, cross), y_ids[test])
+    y_signed = np.where(y_ids == 0, 1, -1)
+    model = train_dual(K, y_signed[train], config)
+    assert fit_score(K, cross, y_signed[train], y_signed[test], config) == \
+        accuracy(predict(model, cross), y_signed[test])
+    with pytest.raises(TrainingError):
+        fit_score(K, cross, np.ones(train.size), np.ones(test.size))

@@ -33,13 +33,14 @@ from .data import (Dataset, SplitSpec, load_csv, make_split, minmax_scale,
 from .errors import ConfigError, DataError, EvaluationError, TrainingError
 from .featuremap import Genome, decode, gate_counts
 from .kernel import CLASSICAL_KINDS, classical_kernel, quantum_gram
-from .nsga2 import (EarlyStop, EvolveConfig, EvolveResult, evolve,
+from .nsga2 import (SENSE, EarlyStop, EvolveConfig, EvolveResult, evolve,
                     svm_evaluator)
 from .report import best_pareto_record, correlation_rows, gate_means, scan_runs
 from .separability import HMI_MODES, compute_indexes
 from .svm import TrainConfig, fit_score
 
 DEFAULT_SCALE_HI = math.pi
+SEPARABILITY_HEADER = ["dataset", "features", "n_instances", "si", "hmi", "dsi"]
 
 
 @dataclass
@@ -262,12 +263,21 @@ def _feature_combos(run: RunConfig, dataset: Dataset) -> list[tuple[int, ...]]:
 
 
 def _prepared_split(run: RunConfig, dataset: Dataset, combo):
+    """Feature subset and its scaled split; a split without test rows has
+    nothing to score, so it fails before any output is written."""
     sub = subset_features(dataset, combo)
-    return sub, make_split(minmax_scale(sub, *run.scale), run.split)
+    tts = make_split(minmax_scale(sub, *run.scale), run.split)
+    if tts.y_test.size == 0:
+        raise ConfigError("the split has no test rows to score accuracy on")
+    return sub, tts
 
 
-def _combo_label(combo) -> str:
-    return "-".join(str(i) for i in combo)
+def _combo_label(combo, sep: str = "-") -> str:
+    return sep.join(str(i) for i in combo)
+
+
+def _separability_row(name: str, features: str, n_instances: int, indexes) -> list:
+    return [name, features, n_instances, *(repr(float(v)) for v in indexes)]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -279,20 +289,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _pareto_records(result: EvolveResult) -> list[dict]:
-    records = []
-    for ind in result.pareto_front:
-        genome = ind.genome.to_string()
-        records.append({
-            "genome": genome,
-            "accuracy": ind.objectives.accuracy,
-            "local_gates": ind.objectives.local_gates,
-            "cnot_gates": ind.objectives.cnot_gates,
-            "rank": ind.rank,
-            "generation_found": result.first_seen[genome],
-        })
-    records.sort(key=lambda r: (-r["accuracy"], r["local_gates"],
-                                r["cnot_gates"], r["genome"]))
-    return records
+    """One record per front member, keyed by the Objectives field names,
+    best first by objective cost and then by genome."""
+    front = sorted(result.pareto_front, key=lambda ind: (
+        tuple(SENSE * ind.objectives), ind.genome.to_string()))
+    return [{"genome": ind.genome.to_string(), **ind.objectives._asdict(),
+             "rank": ind.rank,
+             "generation_found": result.first_seen[ind.genome.to_string()]}
+            for ind in front]
 
 
 def _write_run_outputs(out_dir: Path, run: RunConfig, combo, sub: Dataset,
@@ -305,11 +309,10 @@ def _write_run_outputs(out_dir: Path, run: RunConfig, combo, sub: Dataset,
                ["generation", "best_accuracy", "front_size", "min_local", "min_cnot"],
                [[s.generation, repr(s.best_accuracy), s.front_size,
                  s.min_local, s.min_cnot] for s in result.history])
-    si, hmi, dsi_val = compute_indexes(sub.X, sub.y, hmi_mode=run.hmi_mode)
-    _write_csv(out_dir / "separability.csv",
-               ["dataset", "features", "n_instances", "si", "hmi", "dsi"],
-               [[Path(run.dataset_path).stem, ";".join(str(i) for i in combo),
-                 sub.X.shape[0], repr(si), repr(hmi), repr(dsi_val)]])
+    indexes = compute_indexes(sub.X, sub.y, hmi_mode=run.hmi_mode)
+    _write_csv(out_dir / "separability.csv", SEPARABILITY_HEADER,
+               [_separability_row(Path(run.dataset_path).stem, _combo_label(combo, ";"),
+                                  sub.X.shape[0], indexes)])
     manifest = {
         "dataset": run.dataset_path,
         "label_column": run.label_column,
@@ -374,7 +377,7 @@ def cmd_kernels(args) -> int:
                 template = decode(Genome.from_string(best["genome"], run.evolve.n_qubits))
                 _dump_gram(args.dump_grams, combo, "quantum",
                            quantum_gram(template, tts.X_train))
-        rows.append([";".join(str(i) for i in combo)] + [repr(a) for a in accs])
+        rows.append([_combo_label(combo, ";")] + [repr(a) for a in accs])
     means = [repr(float(np.mean([float(r[c]) for r in rows])))
              for c in range(1, len(header))]
     rows.append(["mean"] + means)
@@ -393,16 +396,13 @@ def cmd_separability(args) -> int:
     values = []
     for combo in combos:
         sub = subset_features(dataset, combo)
-        si, hmi, dsi_val = compute_indexes(sub.X, sub.y, hmi_mode=run.hmi_mode)
-        values.append((si, hmi, dsi_val))
-        rows.append([name, ";".join(str(i) for i in combo), sub.X.shape[0],
-                     repr(si), repr(hmi), repr(dsi_val)])
-    arr = np.asarray(values)
-    rows.append([name, "mean", dataset.X.shape[0],
-                 repr(float(arr[:, 0].mean())), repr(float(arr[:, 1].mean())),
-                 repr(float(arr[:, 2].mean()))])
+        values.append(compute_indexes(sub.X, sub.y, hmi_mode=run.hmi_mode))
+        rows.append(_separability_row(name, _combo_label(combo, ";"), sub.X.shape[0],
+                                      values[-1]))
+    rows.append(_separability_row(name, "mean", dataset.X.shape[0],
+                                  [col.mean() for col in np.asarray(values).T]))
     out_path = Path(run.out_dir) / "separability.csv"
-    _write_csv(out_path, ["dataset", "features", "n_instances", "si", "hmi", "dsi"], rows)
+    _write_csv(out_path, SEPARABILITY_HEADER, rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
     return 0
 

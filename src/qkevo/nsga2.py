@@ -1,14 +1,17 @@
 """NSGA-II over feature-map genomes with the three circuit objectives.
 
 Objectives: maximise test accuracy, minimise local gates, minimise CNOT
-gates — no weighting between them.  All randomness flows from one seeded
+gates — no weighting between them.  They form one vector in
+:class:`Objectives` field order, and :data:`SENSE` declares each one's
+direction; sorting, crowding and the history all read the cost matrix
+built from it.  All randomness flows from one seeded
 generator in a fixed draw order (init, then per generation: selection,
 crossover, mutation), so a run is exactly reproducible from its config.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,11 +22,14 @@ from .kernel import quantum_cross, quantum_gram
 from .svm import TrainConfig, fit_score
 
 
-@dataclass(frozen=True)
-class Objectives:
+class Objectives(NamedTuple):
     accuracy: float
     local_gates: int
     cnot_gates: int
+
+
+# Sense of each Objectives field, in field order: -1 maximise, +1 minimise.
+SENSE = np.array([-1.0, 1.0, 1.0])
 
 
 @dataclass
@@ -52,6 +58,8 @@ class EvolveConfig:
     early_stop: EarlyStop = field(default_factory=EarlyStop)
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ConfigError("n_qubits must be >= 1")
         if self.population_size < 4 or self.population_size % 2:
             raise ConfigError("population_size must be even and >= 4")
         if self.generations < 0:
@@ -81,44 +89,41 @@ class EvolveResult:
     first_seen: dict[str, int]  # genome bits -> generation it first hit rank 1
 
 
-def dominates(a: Objectives, b: Objectives) -> bool:
-    """True iff ``a`` is no worse in all three objectives and better in one."""
-    no_worse = (a.accuracy >= b.accuracy and a.local_gates <= b.local_gates
-                and a.cnot_gates <= b.cnot_gates)
-    better = (a.accuracy > b.accuracy or a.local_gates < b.local_gates
-              or a.cnot_gates < b.cnot_gates)
-    return no_worse and better
+def _costs(objectives) -> np.ndarray:
+    """(n, m) matrix to minimise from objective vectors in Objectives order
+    (a list of :class:`Objectives` or a raw array)."""
+    return np.asarray(objectives, dtype=float).reshape(-1, SENSE.size) * SENSE
 
 
-def _objective_columns(objectives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    acc = np.array([o.accuracy for o in objectives], dtype=float)
-    loc = np.array([o.local_gates for o in objectives], dtype=float)
-    cnt = np.array([o.cnot_gates for o in objectives], dtype=float)
-    return acc, loc, cnt
+def _dominance(costs: np.ndarray) -> np.ndarray:
+    """dom[p, q]: row p is no worse than row q in every cost and better in
+    one, i.e. p is no worse than q but q is not no worse than p."""
+    n = costs.shape[0]
+    no_worse = np.ones((n, n), dtype=bool)
+    for col in costs.T:
+        no_worse &= col[:, None] <= col
+    return no_worse & ~no_worse.T
+
+
+def dominates(a, b) -> bool:
+    """True iff ``a`` is no worse in every objective and better in one."""
+    return bool(_dominance(_costs([a, b]))[0, 1])
 
 
 def fast_nondominated_sort(objectives) -> list[list[int]]:
     """Deb's front peeling; front k holds the points non-dominated once
     fronts 1..k-1 are removed.  Returns index lists, ascending within a front."""
-    objs = list(objectives)
-    if not objs:
+    costs = _costs(objectives)
+    if not costs.size:
         raise ValueError("population must be non-empty")
-    acc, loc, cnt = _objective_columns(objs)
-    no_worse = ((acc[:, None] >= acc[None, :]) & (loc[:, None] <= loc[None, :])
-                & (cnt[:, None] <= cnt[None, :]))
-    better = ((acc[:, None] > acc[None, :]) | (loc[:, None] < loc[None, :])
-              | (cnt[:, None] < cnt[None, :]))
-    dom = no_worse & better  # dom[p, q]: p dominates q
-    n_dominators = dom.sum(axis=0)
+    dom = _dominance(costs)
     fronts = []
-    remaining = n_dominators.copy()
+    remaining = dom.sum(axis=0)  # dominators not yet placed in a front
     current = np.flatnonzero(remaining == 0)
-    assigned = np.zeros(len(objs), dtype=bool)
     while current.size:
-        fronts.append([int(i) for i in current])
-        assigned[current] = True
-        remaining = remaining - dom[current].sum(axis=0)
-        remaining[assigned] = -1
+        fronts.append(current.tolist())
+        remaining -= dom[current].sum(axis=0)
+        remaining[current] = -1
         current = np.flatnonzero(remaining == 0)
     return fronts
 
@@ -126,23 +131,23 @@ def fast_nondominated_sort(objectives) -> list[list[int]]:
 def crowding_distance(objectives) -> np.ndarray:
     """Crowding distances for one front.
 
-    Computed per objective on the sorted *unique* values, so duplicated
+    Per objective, a value's gap runs between its nearest *distinct*
+    neighbours and is normalised by the objective's range, so duplicated
     objective vectors always receive equal distance; extreme values get
-    infinity, interior values the normalised neighbour gap.
+    infinity, and an objective with a single value adds nothing.
     """
-    objs = list(objectives)
-    dist = np.zeros(len(objs))
-    if not objs:
+    costs = _costs(objectives)
+    dist = np.zeros(costs.shape[0])
+    if costs.shape[0] < 2:
         return dist
-    for col in _objective_columns(objs):
-        uniq = np.unique(col)
-        if uniq.size < 2:
-            continue
-        gaps = np.empty(uniq.size)
-        gaps[0] = gaps[-1] = np.inf
-        if uniq.size > 2:
-            gaps[1:-1] = (uniq[2:] - uniq[:-2]) / (uniq[-1] - uniq[0])
-        dist += gaps[np.searchsorted(uniq, col)]
+    for col in costs.T:
+        srt = np.sort(col)
+        span = srt[-1] - srt[0]
+        if span:
+            padded = np.concatenate(([-np.inf], srt, [np.inf]))
+            below = padded[np.searchsorted(srt, col, "left")]
+            above = padded[np.searchsorted(srt, col, "right") + 1]
+            dist += (above - below) / span
     return dist
 
 
@@ -183,23 +188,19 @@ def _safe_eval(evaluator: Callable[[Genome], Objectives], genome: Genome) -> Obj
 
 
 def _assign_fronts(pop: list[Individual]) -> None:
-    fronts = fast_nondominated_sort([ind.objectives for ind in pop])
-    for k, front in enumerate(fronts):
-        dist = crowding_distance([pop[i].objectives for i in front])
-        for d, i in zip(dist, front):
+    values = np.array([ind.objectives for ind in pop], dtype=float)
+    for k, front in enumerate(fast_nondominated_sort(values)):
+        for d, i in zip(crowding_distance(values[front]), front):
             pop[i].rank = k + 1
             pop[i].crowding = float(d)
 
 
 def _stats(pop: list[Individual], generation: int) -> GenerationStats:
-    front = [ind for ind in pop if ind.rank == 1]
-    return GenerationStats(
-        generation=generation,
-        best_accuracy=max(ind.objectives.accuracy for ind in front),
-        front_size=len(front),
-        min_local=min(ind.objectives.local_gates for ind in front),
-        min_cnot=min(ind.objectives.cnot_gates for ind in front),
-    )
+    front = [ind.objectives for ind in pop if ind.rank == 1]
+    accuracy, local, cnot = _costs(front).min(axis=0) * SENSE
+    return GenerationStats(generation=generation, best_accuracy=float(accuracy),
+                           front_size=len(front), min_local=int(local),
+                           min_cnot=int(cnot))
 
 
 def _tournament(pop: list[Individual], draws: np.ndarray) -> list[Individual]:

@@ -21,9 +21,11 @@ def _scale01(X: np.ndarray) -> np.ndarray:
     return (X - lo) / span
 
 
-def _pairwise_distances(X: np.ndarray) -> np.ndarray:
-    sq = np.sum(X ** 2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0)
+def _cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix between the rows of ``a`` and of ``b``."""
+    sq_a = np.sum(a ** 2, axis=1)[:, None]
+    sq_b = np.sum(b ** 2, axis=1)[None, :]
+    d2 = np.maximum(sq_a + sq_b - 2.0 * (a @ b.T), 0.0)
     return np.sqrt(d2)
 
 
@@ -43,7 +45,7 @@ def separability_index(X, y) -> float:
     X, y = _as_labeled(X, y)
     if X.shape[0] < 2:
         raise ValueError("separability index needs at least 2 instances")
-    dist = _pairwise_distances(X)
+    dist = _cross_distances(X, X)
     np.fill_diagonal(dist, np.inf)
     nearest = dist.argmin(axis=1)
     return float(np.mean(y[nearest] == y))
@@ -63,7 +65,8 @@ def hypothesis_margin_index(X, y, mode: str = "sum") -> float:
         raise ValueError("hypothesis margin needs at least 2 classes")
     if counts.min() < 2:
         raise ValueError("every class needs at least 2 members for a near-hit")
-    dist = _pairwise_distances(_scale01(X))
+    scaled = _scale01(X)
+    dist = _cross_distances(scaled, scaled)
     np.fill_diagonal(dist, np.inf)
     same = y[:, None] == y[None, :]
     near_hit = np.where(same, dist, np.inf).min(axis=1)
@@ -85,16 +88,7 @@ def ks_statistic(a, b) -> float:
 
 
 def _intra_distances(points: np.ndarray) -> np.ndarray:
-    dist = _pairwise_distances(points)
-    iu = np.triu_indices(points.shape[0], k=1)
-    return dist[iu]
-
-
-def _cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq_a = np.sum(a ** 2, axis=1)[:, None]
-    sq_b = np.sum(b ** 2, axis=1)[None, :]
-    d2 = np.maximum(sq_a + sq_b - 2.0 * (a @ b.T), 0.0)
-    return np.sqrt(d2).ravel()
+    return _cross_distances(points, points)[np.triu_indices(points.shape[0], k=1)]
 
 
 def dsi_two_class(x_points, y_points) -> float:

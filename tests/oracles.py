@@ -2,8 +2,9 @@
 
 Everything here is deliberately built a different way from the library:
 full 2^n x 2^n unitary products instead of in-place gate application,
-naive front peeling instead of Deb's bookkeeping, random feasible duals
-instead of SMO.  Slow and simple on purpose.
+naive front peeling instead of Deb's bookkeeping, a per-value loop over
+the unique objective values instead of sorted-array crowding, random
+feasible duals instead of SMO.  Slow and simple on purpose.
 """
 import numpy as np
 
@@ -98,6 +99,24 @@ def peel_fronts(objectives) -> list[list[int]]:
         fronts.append(front)
         alive = [i for i in alive if i not in front]
     return fronts
+
+
+def crowding_by_definition(objectives) -> list[float]:
+    """Per objective, each value's gap between its nearest distinct
+    neighbours over the objective's range (infinite at the extremes),
+    summed over the objectives in field order."""
+    dist = [0.0] * len(objectives)
+    for values in zip(*objectives):
+        uniq = sorted(set(values))
+        if len(uniq) < 2:
+            continue
+        for i, v in enumerate(values):
+            k = uniq.index(v)
+            if k in (0, len(uniq) - 1):
+                dist[i] += np.inf
+            else:
+                dist[i] += (uniq[k + 1] - uniq[k - 1]) / (uniq[-1] - uniq[0])
+    return dist
 
 
 def random_feasible_alphas(rng: np.random.Generator, y: np.ndarray, C: float,

@@ -85,10 +85,11 @@ def test_evolve_bad_label_column_is_data_error(tmp_path):
     assert code == 2
 
 
-def test_evolve_too_many_qubits_is_usage_error(tmp_path):
+@pytest.mark.parametrize("qubits", ["13", "0", "-1"])
+def test_evolve_too_many_qubits_is_usage_error(tmp_path, qubits):
     out = tmp_path / "r"
     code = main(["evolve", "--dataset", CANCER, "--label-col", "diagnosis",
-                 "--qubits", "13", "--population", "4", "--generations", "0",
+                 "--qubits", qubits, "--population", "4", "--generations", "0",
                  "--out", str(out)])
     assert code == 1
     assert not out.exists()
@@ -127,10 +128,17 @@ def test_unknown_hmi_mode_in_config_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_evolve_without_test_rows_is_usage_error(tmp_path):
-    out = tmp_path / "run"
-    assert main(_evolve_args(out, extra=("--test-size", "0"))) == 1
+@pytest.mark.parametrize("command, flags", [
+    ("evolve", ()), ("kernels", ("--classical-only",)), ("kernels", ("--dump-grams",))],
+    ids=["evolve", "kernels-classical-only", "kernels-dump-grams"])
+def test_evolve_without_test_rows_is_usage_error(tmp_path, command, flags):
+    out, dump = tmp_path / "run", tmp_path / "grams"
+    if flags == ("--dump-grams",):
+        flags += (str(dump),)
+    args = _evolve_args(out, extra=("--test-size", "0", *flags))
+    assert main([command, *args[1:]]) == 1
     assert not out.exists()
+    assert not dump.exists()
 
 
 def test_kernels_classical_only(tmp_path):

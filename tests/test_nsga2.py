@@ -11,7 +11,7 @@ from qkevo.nsga2 import (EarlyStop, EvolveConfig, Objectives,
                          evolve, fast_nondominated_sort, svm_evaluator)
 
 from conftest import REPO_ROOT
-from oracles import peel_fronts
+from oracles import crowding_by_definition, peel_fronts
 
 
 def test_dominates_basics():
@@ -73,6 +73,16 @@ def test_crowding_duplicates_equal():
             Objectives(0.2, 5, 5), Objectives(0.4, 5, 5)]
     dist = crowding_distance(objs)
     assert dist[1] == dist[2]
+
+
+def test_crowding_matches_definition():
+    rng = np.random.default_rng(43)
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        objs = [Objectives(float(rng.integers(0, 6)) / 5.0,
+                           int(rng.integers(0, 6)), int(rng.integers(0, 6)))
+                for _ in range(n)]
+        assert crowding_distance(objs).tolist() == crowding_by_definition(objs)
 
 
 def _iris_split(k=2):
@@ -147,6 +157,31 @@ def test_same_seed_identical_runs():
         [i.genome.to_string() for i in res_b.population]
     assert res_a.history == res_b.history
     assert res_a.first_seen == res_b.first_seen
+
+
+def test_surrogate_trajectory_golden():
+    """Selection order pinned across code versions: the final population and
+    the full history of one seeded run on an exact-arithmetic surrogate."""
+    def surrogate(genome):
+        counts = gate_counts(decode(genome))
+        return Objectives(float(np.mean(genome.bits)), counts.local, counts.cnot)
+
+    res = evolve(EvolveConfig(n_qubits=4, population_size=12, generations=8, seed=9),
+                 surrogate)
+    assert [i.genome.to_string() for i in res.population] == [
+        "11111111111111", "11111111111111", "11111110000000", "11111110000000",
+        "11111110000000", "11111110000000", "11101110000000", "01111110000000",
+        "11101110000000", "00111110000000", "11111111111000", "11111111111110"]
+    assert [(s.generation, s.best_accuracy, s.front_size, s.min_local, s.min_cnot)
+            for s in res.history] == [
+        (0, 5 / 7, 6, 8, 4), (1, 11 / 14, 7, 8, 4), (2, 11 / 14, 7, 8, 4),
+        (3, 1.0, 12, 8, 4), (4, 1.0, 12, 5, 2), (5, 1.0, 12, 5, 2),
+        (6, 1.0, 12, 5, 2), (7, 1.0, 12, 7, 2), (8, 1.0, 12, 7, 2)]
+    front = [ind.objectives for ind in res.pareto_front]
+    last = res.history[-1]
+    assert (last.best_accuracy, last.front_size, last.min_local, last.min_cnot) == (
+        max(o.accuracy for o in front), len(front),
+        min(o.local_gates for o in front), min(o.cnot_gates for o in front))
 
 
 def test_onemax_progress():

@@ -66,7 +66,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+def _add_data_flags(sub: argparse.ArgumentParser) -> None:
+    """Flags of every table command: config, data, feature choice, output."""
     sub.add_argument("--config", help="JSON config file; flags override it")
     sub.add_argument("--dataset", help="CSV dataset path")
     sub.add_argument("--label-col", help="label column name (or integer index)")
@@ -76,6 +77,11 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--combos", type=int,
                      help="sample this many random feature combinations instead")
     sub.add_argument("--combo-seed", type=int, help="seed for combo sampling")
+    sub.add_argument("--out", help="output directory")
+
+
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    """Flags of the commands that split, scale, evolve and train."""
     sub.add_argument("--seed", type=int, help="evolution seed")
     sub.add_argument("--split-seed", type=int, help="train/test split seed")
     sub.add_argument("--train-size", type=int, help="training rows (default 100)")
@@ -95,8 +101,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--stagnation", type=int,
                      help="early stop after this many stagnant generations")
     sub.add_argument("--svm-c", type=float, help="SVM box constraint C")
-    sub.add_argument("--hmi-mode", choices=HMI_MODES)
-    sub.add_argument("--out", help="output directory")
 
 
 def _build_parser() -> _Parser:
@@ -104,12 +108,15 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command")
 
-    p_evolve = subs.add_parser("evolve", parents=[], help="evolve feature maps")
-    _add_common_flags(p_evolve)
+    p_evolve = subs.add_parser("evolve", help="evolve feature maps")
+    _add_data_flags(p_evolve)
+    _add_run_flags(p_evolve)
+    p_evolve.add_argument("--hmi-mode", choices=HMI_MODES)
     p_evolve.set_defaults(func=cmd_evolve)
 
     p_kernels = subs.add_parser("kernels", help="classical vs quantum accuracy table")
-    _add_common_flags(p_kernels)
+    _add_data_flags(p_kernels)
+    _add_run_flags(p_kernels)
     p_kernels.add_argument("--classical-only", action="store_true",
                            help="skip the evolved quantum column")
     p_kernels.add_argument("--dump-grams", metavar="DIR",
@@ -117,7 +124,8 @@ def _build_parser() -> _Parser:
     p_kernels.set_defaults(func=cmd_kernels)
 
     p_sep = subs.add_parser("separability", help="SI/HMI/DSI table")
-    _add_common_flags(p_sep)
+    _add_data_flags(p_sep)
+    p_sep.add_argument("--hmi-mode", choices=HMI_MODES)
     p_sep.set_defaults(func=cmd_separability)
 
     p_decode = subs.add_parser("decode", help="print the circuit for a genome")
@@ -155,7 +163,10 @@ def _parse_feature_list(text: str) -> list[int]:
         raise ConfigError(f"bad --features value {text!r}: {exc}") from exc
 
 
-def _pick(flag, cfg: dict, key: str, default):
+def _pick(args, name: str, cfg: dict, key: str, default):
+    """Flag ``name`` if given, else the config file's ``key``, else
+    ``default``; a flag the subcommand does not have counts as not given."""
+    flag = getattr(args, name, None)
     if flag is not None:
         return flag
     return cfg.get(key, default)
@@ -170,10 +181,10 @@ def _resolve(args) -> RunConfig:
     ga_cfg = cfg.get("evolve", {})
     feat_cfg = cfg.get("features", {})
 
-    dataset_path = _pick(args.dataset, ds_cfg, "path", None)
+    dataset_path = _pick(args, "dataset", ds_cfg, "path", None)
     if not dataset_path:
         raise ConfigError("a dataset path is required (--dataset or config)")
-    label_column = _pick(args.label_col, ds_cfg, "label_column", None)
+    label_column = _pick(args, "label_col", ds_cfg, "label_column", None)
     if label_column is None:
         raise ConfigError("a label column is required (--label-col or config)")
     if isinstance(label_column, str) and label_column.lstrip("-").isdigit():
@@ -184,10 +195,10 @@ def _resolve(args) -> RunConfig:
         features = _parse_feature_list(args.features)
     elif "list" in feat_cfg:
         features = [int(i) for i in feat_cfg["list"]]
-    combo_count = _pick(args.combos, feat_cfg, "combos", None)
+    combo_count = _pick(args, "combos", feat_cfg, "combos", None)
     if features is not None and combo_count is not None:
         raise ConfigError("choose either explicit --features or --combos, not both")
-    n_qubits = _pick(args.qubits, feat_cfg, "k", None)
+    n_qubits = _pick(args, "qubits", feat_cfg, "k", None)
     if features is not None:
         if n_qubits is not None and n_qubits != len(features):
             raise ConfigError(
@@ -199,59 +210,59 @@ def _resolve(args) -> RunConfig:
     if combo_count is None and features is None:
         features = list(range(n_qubits))
 
-    hmi_mode = _pick(args.hmi_mode, cfg, "hmi_mode", "sum")
+    hmi_mode = _pick(args, "hmi_mode", cfg, "hmi_mode", "sum")
     if hmi_mode not in HMI_MODES:
         raise ConfigError(f"hmi_mode must be one of {HMI_MODES}, got {hmi_mode!r}")
 
     early = ga_cfg.get("early_stop", {})
-    target_acc = _pick(args.target_accuracy, early, "target_accuracy",
+    target_acc = _pick(args, "target_accuracy", early, "target_accuracy",
                        EarlyStop.target_accuracy)
-    stagnation = _pick(args.stagnation, early, "stagnation_generations",
+    stagnation = _pick(args, "stagnation", early, "stagnation_generations",
                        EarlyStop.stagnation_generations)
     evolve_config = EvolveConfig(
         n_qubits=int(n_qubits),
-        population_size=int(_pick(args.population, ga_cfg, "population_size",
+        population_size=int(_pick(args, "population", ga_cfg, "population_size",
                                   EvolveConfig.population_size)),
-        generations=int(_pick(args.generations, ga_cfg, "generations",
+        generations=int(_pick(args, "generations", ga_cfg, "generations",
                               EvolveConfig.generations)),
-        crossover_prob=float(_pick(args.crossover_prob, ga_cfg, "crossover_prob",
+        crossover_prob=float(_pick(args, "crossover_prob", ga_cfg, "crossover_prob",
                                    EvolveConfig.crossover_prob)),
-        mutation_prob=_pick(args.mutation_prob, ga_cfg, "mutation_prob",
+        mutation_prob=_pick(args, "mutation_prob", ga_cfg, "mutation_prob",
                             EvolveConfig.mutation_prob),
-        tournament_size=int(_pick(args.tournament_size, ga_cfg, "tournament_size",
+        tournament_size=int(_pick(args, "tournament_size", ga_cfg, "tournament_size",
                                   EvolveConfig.tournament_size)),
-        seed=int(_pick(args.seed, ga_cfg, "seed", EvolveConfig.seed)),
+        seed=int(_pick(args, "seed", ga_cfg, "seed", EvolveConfig.seed)),
         early_stop=EarlyStop(
             target_accuracy=None if target_acc is None else float(target_acc),
             stagnation_generations=None if stagnation is None else int(stagnation),
         ),
     )
     train_config = TrainConfig(
-        C=float(_pick(args.svm_c, svm_cfg, "C", TrainConfig.C)),
+        C=float(_pick(args, "svm_c", svm_cfg, "C", TrainConfig.C)),
         tolerance=float(svm_cfg.get("tolerance", TrainConfig.tolerance)),
         max_iterations=int(svm_cfg.get("max_iterations", TrainConfig.max_iterations)),
     )
     split_spec = SplitSpec(
-        n_train=int(_pick(args.train_size, split_cfg, "n_train", 100)),
-        n_test=int(_pick(args.test_size, split_cfg, "n_test", 50)),
-        seed=int(_pick(args.split_seed, split_cfg, "seed", SplitSpec.seed)),
-        stratified=(not args.no_stratify
+        n_train=int(_pick(args, "train_size", split_cfg, "n_train", 100)),
+        n_test=int(_pick(args, "test_size", split_cfg, "n_test", 50)),
+        seed=int(_pick(args, "split_seed", split_cfg, "seed", SplitSpec.seed)),
+        stratified=(not getattr(args, "no_stratify", False)
                     and bool(split_cfg.get("stratified", SplitSpec.stratified))),
     )
     return RunConfig(
         dataset_path=str(dataset_path),
         label_column=label_column,
-        positive_class=_pick(args.positive_class, ds_cfg, "positive_class", None),
+        positive_class=_pick(args, "positive_class", ds_cfg, "positive_class", None),
         features=features,
         combo_count=None if combo_count is None else int(combo_count),
-        combo_seed=int(_pick(args.combo_seed, feat_cfg, "seed", 0)),
+        combo_seed=int(_pick(args, "combo_seed", feat_cfg, "seed", 0)),
         split=split_spec,
-        scale=(float(_pick(args.scale_lo, scale_cfg, "lo", 0.0)),
-               float(_pick(args.scale_hi, scale_cfg, "hi", DEFAULT_SCALE_HI))),
+        scale=(float(_pick(args, "scale_lo", scale_cfg, "lo", 0.0)),
+               float(_pick(args, "scale_hi", scale_cfg, "hi", DEFAULT_SCALE_HI))),
         svm=train_config,
         evolve=evolve_config,
         hmi_mode=hmi_mode,
-        out_dir=str(_pick(args.out, cfg, "out", "runs")),
+        out_dir=str(_pick(args, "out", cfg, "out", "runs")),
     )
 
 
@@ -408,7 +419,7 @@ def cmd_separability(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    if args.qubits is None or args.qubits < 1:
+    if args.qubits < 1:
         raise ConfigError("--qubits must be a positive integer")
     genome = Genome.from_string(args.genome, args.qubits)
     template = decode(genome)

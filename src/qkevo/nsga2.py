@@ -179,14 +179,6 @@ def evaluate_genome(genome: Genome, split: TrainTestSplit,
     return svm_evaluator(split, svm_config)(genome)
 
 
-def _safe_eval(evaluator: Callable[[Genome], Objectives], genome: Genome) -> Objectives:
-    try:
-        return evaluator(genome)
-    except EvaluationError:
-        counts = gate_counts(decode(genome))
-        return Objectives(0.0, counts.local, counts.cnot)
-
-
 def _assign_fronts(pop: list[Individual]) -> None:
     values = np.array([ind.objectives for ind in pop], dtype=float)
     for k, front in enumerate(fast_nondominated_sort(values)):
@@ -204,35 +196,24 @@ def _stats(pop: list[Individual], generation: int) -> GenerationStats:
 
 
 def _tournament(pop: list[Individual], draws: np.ndarray) -> list[Individual]:
-    parents = []
-    for row in draws:
-        best = pop[row[0]]
-        for idx in row[1:]:
-            cand = pop[idx]
-            if (cand.rank, -cand.crowding) < (best.rank, -best.crowding):
-                best = cand
-        parents.append(best)
-    return parents
+    """Per draw row, the entrant of lowest rank, then largest crowding;
+    ``min`` keeps the first of equal entrants."""
+    return [min((pop[i] for i in row), key=lambda ind: (ind.rank, -ind.crowding))
+            for row in draws]
 
 
 def _make_offspring(parents: list[Individual], config: EvolveConfig,
                     mutation_prob: float, rng: np.random.Generator) -> np.ndarray:
-    pop_size = config.population_size
+    """One-point crossover of consecutive parent pairs (a pair that does not
+    cross is copied), then bit-flip mutation."""
+    pairs = config.population_size // 2
     length = genome_length(config.n_qubits)
-    cross_draws = rng.random(pop_size // 2)
-    cut_draws = rng.integers(1, length, size=pop_size // 2)
-    children = np.empty((pop_size, length), dtype=np.int8)
-    for pair in range(pop_size // 2):
-        bits_a = parents[2 * pair].genome.bits
-        bits_b = parents[2 * pair + 1].genome.bits
-        if cross_draws[pair] < config.crossover_prob:
-            cut = int(cut_draws[pair])
-            children[2 * pair] = np.concatenate([bits_a[:cut], bits_b[cut:]])
-            children[2 * pair + 1] = np.concatenate([bits_b[:cut], bits_a[cut:]])
-        else:
-            children[2 * pair] = bits_a
-            children[2 * pair + 1] = bits_b
-    flips = rng.random((pop_size, length)) < mutation_prob
+    crosses = rng.random(pairs) < config.crossover_prob
+    cuts = rng.integers(1, length, size=pairs)
+    keep = ~crosses[:, None] | (np.arange(length) < cuts[:, None])
+    bits = np.array([ind.genome.bits for ind in parents]).reshape(pairs, 2, length)
+    children = np.where(keep[:, None], bits, bits[:, ::-1]).reshape(-1, length)
+    flips = rng.random((config.population_size, length)) < mutation_prob
     return children ^ flips
 
 
@@ -258,46 +239,50 @@ def evolve(config: EvolveConfig,
     mutation_prob = (config.mutation_prob if config.mutation_prob is not None
                      else 1.0 / length)
     rng = np.random.default_rng(config.seed)
-
-    init_bits = rng.integers(0, 2, size=(config.population_size, length), dtype=np.int8)
-    genomes = [Genome(config.n_qubits, bits.copy()) for bits in init_bits]
-    pop = [Individual(g, _safe_eval(evaluator, g)) for g in genomes]
-    _assign_fronts(pop)
-
-    history = [_stats(pop, 0)]
-    first_seen: dict[str, int] = {}
-    for ind in pop:
-        if ind.rank == 1:
-            first_seen.setdefault(ind.genome.to_string(), 0)
-
-    stagnation = 0
     early = config.early_stop
-    for gen in range(1, config.generations + 1):
-        last = history[-1]
-        if early.target_accuracy is not None and last.best_accuracy >= early.target_accuracy:
-            break
-        if (early.stagnation_generations is not None
-                and stagnation >= early.stagnation_generations):
-            break
 
-        draws = rng.integers(0, config.population_size,
-                             size=(config.population_size, config.tournament_size))
-        parents = _tournament(pop, draws)
-        child_bits = _make_offspring(parents, config, mutation_prob, rng)
-        child_genomes = [Genome(config.n_qubits, bits.copy()) for bits in child_bits]
-        offspring = [Individual(g, _safe_eval(evaluator, g)) for g in child_genomes]
-        pop = _refill(pop + offspring, config.population_size)
+    def scored(bit_rows: np.ndarray) -> list[Individual]:
+        # A genome whose evaluation fails gets accuracy 0 and its own gate counts.
+        scored_pop = []
+        for bits in bit_rows:
+            genome = Genome(config.n_qubits, bits.copy())
+            try:
+                objectives = evaluator(genome)
+            except EvaluationError:
+                counts = gate_counts(decode(genome))
+                objectives = Objectives(0.0, counts.local, counts.cnot)
+            scored_pop.append(Individual(genome, objectives))
+        return scored_pop
+
+    history: list[GenerationStats] = []
+    first_seen: dict[str, int] = {}
+    stagnation = 0
+    for gen in range(config.generations + 1):
+        if gen == 0:
+            pop = scored(rng.integers(0, 2, size=(config.population_size, length),
+                                      dtype=np.int8))
+            _assign_fronts(pop)
+        elif ((early.target_accuracy is not None
+               and history[-1].best_accuracy >= early.target_accuracy)
+              or (early.stagnation_generations is not None
+                  and stagnation >= early.stagnation_generations)):
+            break
+        else:
+            draws = rng.integers(0, config.population_size,
+                                 size=(config.population_size, config.tournament_size))
+            children = _make_offspring(_tournament(pop, draws), config, mutation_prob, rng)
+            pop = _refill(pop + scored(children), config.population_size)
 
         stats = _stats(pop, gen)
+        if history and (stats.best_accuracy, stats.front_size) == (
+                history[-1].best_accuracy, history[-1].front_size):
+            stagnation += 1
+        else:
+            stagnation = 0
         history.append(stats)
         for ind in pop:
             if ind.rank == 1:
                 first_seen.setdefault(ind.genome.to_string(), gen)
-        if (stats.best_accuracy == last.best_accuracy
-                and stats.front_size == last.front_size):
-            stagnation += 1
-        else:
-            stagnation = 0
 
     pareto = [ind for ind in pop if ind.rank == 1]
     return EvolveResult(population=pop, pareto_front=pareto, history=history,

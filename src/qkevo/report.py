@@ -23,17 +23,8 @@ from .featuremap import Genome, decode, gate_counts, genome_length
 def average_ranks(values) -> np.ndarray:
     """Ranks 1..n with ties assigned their average rank."""
     values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    i = 0
-    sorted_vals = values[order]
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(a, b) -> float | None:
@@ -135,13 +126,10 @@ def scan_runs(runs_dir) -> tuple[list[RunRecord], list[str]]:
     runs_dir = Path(runs_dir)
     if not runs_dir.is_dir():
         raise DataError(f"{runs_dir}: not a directory")
-    candidates = []
-    if (runs_dir / "pareto.json").is_file():
-        candidates.append(runs_dir)
-    candidates.extend(sorted(p for p in runs_dir.iterdir() if p.is_dir()))
+    candidates = [runs_dir, *sorted(p for p in runs_dir.iterdir() if p.is_dir())]
     records, warnings = [], []
     for cand in candidates:
-        if not (cand / "pareto.json").is_file() and cand != runs_dir:
+        if not (cand / "pareto.json").is_file():
             continue
         try:
             records.append(load_run(cand))

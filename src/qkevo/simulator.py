@@ -58,9 +58,6 @@ class Statevector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "Statevector":
-        return Statevector(self.n_qubits, self.amplitudes.copy())
-
 
 def new_zero_state(n_qubits: int) -> Statevector:
     """Prepare |0...0> on ``n_qubits`` qubits."""

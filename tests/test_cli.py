@@ -195,6 +195,24 @@ def test_separability_rows(tmp_path):
     assert rows[-1].split(",")[1] == "mean"
 
 
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=command + flag[0]) for command, flag in (
+        *(("separability", flag) for flag in (
+            ("--seed", "5"), ("--split-seed", "5"), ("--train-size", "140"),
+            ("--test-size", "10"), ("--no-stratify",), ("--scale-lo", "1"),
+            ("--scale-hi", "2"), ("--population", "3"), ("--generations", "2"),
+            ("--crossover-prob", "0.5"), ("--mutation-prob", "0.1"),
+            ("--tournament-size", "3"), ("--target-accuracy", "0.9"),
+            ("--stagnation", "2"), ("--svm-c", "9"))),
+        ("kernels", ("--hmi-mode", "mean")))])
+def test_flag_the_command_never_reads_is_usage_error(tmp_path, command, flag):
+    out = tmp_path / "out"
+    only = ("--classical-only",) if command == "kernels" else ()
+    assert main([command, "--dataset", IRIS, "--label-col", "species", "--features",
+                 "0,1", "--out", str(out), *only, *flag]) == 1
+    assert not out.exists()
+
+
 def test_decode_listing(capsys):
     assert main(["decode", "1111001110", "--qubits", "3"]) == 0
     out = capsys.readouterr().out

@@ -6,9 +6,10 @@ from qkevo.data import SplitSpec, TrainTestSplit, load_csv, make_split, \
     minmax_scale, subset_features
 from qkevo.errors import ConfigError, EvaluationError
 from qkevo.featuremap import Genome, decode, gate_counts, genome_length
-from qkevo.nsga2 import (EarlyStop, EvolveConfig, Objectives,
-                         crowding_distance, dominates, evaluate_genome,
-                         evolve, fast_nondominated_sort, svm_evaluator)
+from qkevo.nsga2 import (EarlyStop, EvolveConfig, Individual, Objectives,
+                         _make_offspring, crowding_distance, dominates,
+                         evaluate_genome, evolve, fast_nondominated_sort,
+                         svm_evaluator)
 
 from conftest import REPO_ROOT
 from oracles import crowding_by_definition, peel_fronts
@@ -182,6 +183,76 @@ def test_surrogate_trajectory_golden():
     assert (last.best_accuracy, last.front_size, last.min_local, last.min_cnot) == (
         max(o.accuracy for o in front), len(front),
         min(o.local_gates for o in front), min(o.cnot_gates for o in front))
+
+
+def test_demoting_trajectory_golden():
+    """Paths the first golden run does not take, pinned across code versions:
+    crossover that sometimes does not happen, three-way tournaments, demoted
+    evaluations, and both early-stop rules."""
+    def flaky(genome):
+        if genome.bits[0] == 1 and genome.bits[-1] == 1:
+            raise EvaluationError("first and last bit set")
+        counts = gate_counts(decode(genome))
+        return Objectives(float(np.mean(genome.bits)), counts.local, counts.cnot)
+
+    def run(early):
+        return evolve(EvolveConfig(n_qubits=4, population_size=10, generations=40,
+                                   crossover_prob=0.5, tournament_size=3, seed=5,
+                                   early_stop=early), flaky)
+
+    def population(res):
+        return [(i.genome.to_string(), tuple(i.objectives), i.rank) for i in res.population]
+
+    best, mid, top = 11 / 14, 5 / 7, 6 / 7
+    history = [(0, mid, 1, 12, 8), (1, mid, 3, 10, 6), (2, mid, 8, 8, 6),
+               (3, mid, 10, 8, 4), (4, mid, 10, 8, 4), (5, best, 10, 8, 2),
+               (6, best, 10, 8, 2), (7, best, 10, 9, 2), (8, best, 10, 9, 2),
+               (9, best, 10, 13, 10), (10, best, 10, 13, 10), (11, top, 10, 10, 6)]
+    first_seen = {
+        "11111101111000": 0, "01011101111000": 1, "11100101011000": 1,
+        "10011101111000": 2, "00010100111000": 2, "11111101011000": 2,
+        "01101101100100": 2, "00010101011000": 3, "01111100111000": 3,
+        "11111101011100": 3, "11101101100000": 3, "11101101100100": 3,
+        "01111101011000": 3, "00111101010000": 4, "11111100110000": 4,
+        "11111101100000": 4, "11111101111100": 5, "11111100100000": 5,
+        "11111100111000": 5, "11011100100000": 6, "11111111111100": 11,
+        "11111101101000": 11, "11001000111100": 11}
+    leader = ("11111101111100", (best, 13, 10), 1)
+
+    stagnant = run(EarlyStop(stagnation_generations=2))
+    assert population(stagnant) == [leader] * 8 + [("11111100100000", (0.5, 9, 2), 1)] * 2
+    assert [tuple(vars(s).values()) for s in stagnant.history] == history[:8]
+    assert stagnant.first_seen == {g: k for g, k in first_seen.items() if k <= 7}
+
+    reached = run(EarlyStop(target_accuracy=0.85))
+    assert population(reached) == [
+        ("11111111111100", (top, 14, 12), 1), ("11111101101000", (9 / 14, 11, 6), 1),
+        ("11001000111100", (0.5, 10, 8), 1)] + [leader] * 7
+    assert [tuple(vars(s).values()) for s in reached.history] == history
+    assert reached.first_seen == first_seen
+
+
+def test_offspring_match_per_pair_crossover():
+    """The vectorised crossover equals a per-pair loop over the same draws."""
+    cfg = EvolveConfig(n_qubits=4, population_size=12, crossover_prob=0.5)
+    length = genome_length(4)
+    rng = np.random.default_rng(3)
+    parents = [Individual(Genome(4, bits), Objectives(0.0, 0, 0))
+               for bits in rng.integers(0, 2, size=(12, length))]
+    children = _make_offspring(parents, cfg, 0.1, np.random.default_rng(8))
+
+    rng = np.random.default_rng(8)
+    crosses, cuts = rng.random(6), rng.integers(1, length, size=6)
+    want = []
+    for pair in range(6):
+        a, b = parents[2 * pair].genome.bits, parents[2 * pair + 1].genome.bits
+        if crosses[pair] < cfg.crossover_prob:
+            a, b = (np.concatenate([a[:cuts[pair]], b[cuts[pair]:]]),
+                    np.concatenate([b[:cuts[pair]], a[cuts[pair]:]]))
+        want += [a, b]
+    flips = rng.random((12, length)) < 0.1
+    assert 0 < (crosses < cfg.crossover_prob).sum() < 6
+    assert np.array_equal(children, np.array(want) ^ flips)
 
 
 def test_onemax_progress():

@@ -16,6 +16,14 @@ def test_average_ranks_with_ties():
                                [1.0, 2.5, 2.5, 4.0])
 
 
+def test_average_ranks_match_scipy_rankdata():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        n = int(rng.integers(1, 40))
+        values = rng.integers(0, n // 3 + 1, size=n) * rng.choice([1.0, 0.25, -1.5])
+        assert np.array_equal(average_ranks(values), stats.rankdata(values))
+
+
 def test_spearman_exact_monotone():
     a = [1.0, 2.0, 5.0, 9.0]
     assert spearman(a, [2.0, 3.0, 10.0, 20.0]) == 1.0

@@ -49,14 +49,16 @@ class RunConfig:
     label_column: str | int
     positive_class: str | None
     features: list[int] | None  # explicit feature list ...
-    combo_count: int | None     # ... or sampled combos of size evolve.n_qubits
+    combo_count: int | None     # ... or sampled combos of size n_qubits
     combo_seed: int
-    split: SplitSpec
-    scale: tuple[float, float]  # (lo, hi) of the feature-angle range
-    svm: TrainConfig
-    evolve: EvolveConfig
+    n_qubits: int
     hmi_mode: str
     out_dir: str
+    # Resolved only for the commands that split, scale, evolve and train.
+    split: SplitSpec | None = None
+    scale: tuple[float, float] | None = None  # (lo, hi) of the feature-angle range
+    svm: TrainConfig | None = None
+    evolve: EvolveConfig | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,13 +174,12 @@ def _pick(args, name: str, cfg: dict, key: str, default):
     return cfg.get(key, default)
 
 
-def _resolve(args) -> RunConfig:
+def _resolve(args, training: bool) -> RunConfig:
+    """Run settings from flags, the config file and defaults.  The split,
+    scaling, SVM and GA sections are read, and so validated, only when
+    ``training``: ``separability`` uses none of them."""
     cfg = _load_config_file(args.config)
     ds_cfg = cfg.get("dataset", {})
-    split_cfg = cfg.get("split", {})
-    scale_cfg = cfg.get("scaling", {})
-    svm_cfg = cfg.get("svm", {})
-    ga_cfg = cfg.get("evolve", {})
     feat_cfg = cfg.get("features", {})
 
     dataset_path = _pick(args, "dataset", ds_cfg, "path", None)
@@ -207,20 +208,40 @@ def _resolve(args) -> RunConfig:
         n_qubits = len(features)
     if n_qubits is None:
         raise ConfigError("a qubit count is required (--qubits, --features or config)")
+    n_qubits = int(n_qubits)
+    if n_qubits < 1:
+        raise ConfigError("n_qubits must be >= 1")
     if combo_count is None and features is None:
         features = list(range(n_qubits))
 
     hmi_mode = _pick(args, "hmi_mode", cfg, "hmi_mode", "sum")
     if hmi_mode not in HMI_MODES:
         raise ConfigError(f"hmi_mode must be one of {HMI_MODES}, got {hmi_mode!r}")
+    run = RunConfig(
+        dataset_path=str(dataset_path),
+        label_column=label_column,
+        positive_class=_pick(args, "positive_class", ds_cfg, "positive_class", None),
+        features=features,
+        combo_count=None if combo_count is None else int(combo_count),
+        combo_seed=int(_pick(args, "combo_seed", feat_cfg, "seed", 0)),
+        n_qubits=n_qubits,
+        hmi_mode=hmi_mode,
+        out_dir=str(_pick(args, "out", cfg, "out", "runs")),
+    )
+    if not training:
+        return run
 
+    split_cfg = cfg.get("split", {})
+    scale_cfg = cfg.get("scaling", {})
+    svm_cfg = cfg.get("svm", {})
+    ga_cfg = cfg.get("evolve", {})
     early = ga_cfg.get("early_stop", {})
     target_acc = _pick(args, "target_accuracy", early, "target_accuracy",
                        EarlyStop.target_accuracy)
     stagnation = _pick(args, "stagnation", early, "stagnation_generations",
                        EarlyStop.stagnation_generations)
-    evolve_config = EvolveConfig(
-        n_qubits=int(n_qubits),
+    run.evolve = EvolveConfig(
+        n_qubits=n_qubits,
         population_size=int(_pick(args, "population", ga_cfg, "population_size",
                                   EvolveConfig.population_size)),
         generations=int(_pick(args, "generations", ga_cfg, "generations",
@@ -237,39 +258,27 @@ def _resolve(args) -> RunConfig:
             stagnation_generations=None if stagnation is None else int(stagnation),
         ),
     )
-    train_config = TrainConfig(
+    run.svm = TrainConfig(
         C=float(_pick(args, "svm_c", svm_cfg, "C", TrainConfig.C)),
         tolerance=float(svm_cfg.get("tolerance", TrainConfig.tolerance)),
         max_iterations=int(svm_cfg.get("max_iterations", TrainConfig.max_iterations)),
     )
-    split_spec = SplitSpec(
+    run.split = SplitSpec(
         n_train=int(_pick(args, "train_size", split_cfg, "n_train", 100)),
         n_test=int(_pick(args, "test_size", split_cfg, "n_test", 50)),
         seed=int(_pick(args, "split_seed", split_cfg, "seed", SplitSpec.seed)),
         stratified=(not getattr(args, "no_stratify", False)
                     and bool(split_cfg.get("stratified", SplitSpec.stratified))),
     )
-    return RunConfig(
-        dataset_path=str(dataset_path),
-        label_column=label_column,
-        positive_class=_pick(args, "positive_class", ds_cfg, "positive_class", None),
-        features=features,
-        combo_count=None if combo_count is None else int(combo_count),
-        combo_seed=int(_pick(args, "combo_seed", feat_cfg, "seed", 0)),
-        split=split_spec,
-        scale=(float(_pick(args, "scale_lo", scale_cfg, "lo", 0.0)),
-               float(_pick(args, "scale_hi", scale_cfg, "hi", DEFAULT_SCALE_HI))),
-        svm=train_config,
-        evolve=evolve_config,
-        hmi_mode=hmi_mode,
-        out_dir=str(_pick(args, "out", cfg, "out", "runs")),
-    )
+    run.scale = (float(_pick(args, "scale_lo", scale_cfg, "lo", 0.0)),
+                 float(_pick(args, "scale_hi", scale_cfg, "hi", DEFAULT_SCALE_HI)))
+    return run
 
 
 def _feature_combos(run: RunConfig, dataset: Dataset) -> list[tuple[int, ...]]:
     if run.features is not None:
         return [tuple(run.features)]
-    return sample_feature_combos(dataset.X.shape[1], run.evolve.n_qubits,
+    return sample_feature_combos(dataset.X.shape[1], run.n_qubits,
                                  run.combo_count, seed=run.combo_seed)
 
 
@@ -342,7 +351,7 @@ def _write_run_outputs(out_dir: Path, run: RunConfig, combo, sub: Dataset,
 
 
 def cmd_evolve(args) -> int:
-    run = _resolve(args)
+    run = _resolve(args, training=True)
     dataset = load_csv(run.dataset_path, run.label_column, run.positive_class)
     combos = _feature_combos(run, dataset)
     base = Path(run.out_dir)
@@ -365,7 +374,7 @@ def _dump_gram(dump_dir: str, combo, kind: str, gram: np.ndarray) -> None:
 
 
 def cmd_kernels(args) -> int:
-    run = _resolve(args)
+    run = _resolve(args, training=True)
     dataset = load_csv(run.dataset_path, run.label_column, run.positive_class)
     combos = _feature_combos(run, dataset)
     quantum = not args.classical_only
@@ -399,7 +408,7 @@ def cmd_kernels(args) -> int:
 
 
 def cmd_separability(args) -> int:
-    run = _resolve(args)
+    run = _resolve(args, training=False)
     dataset = load_csv(run.dataset_path, run.label_column, run.positive_class)
     combos = _feature_combos(run, dataset)
     name = Path(run.dataset_path).stem

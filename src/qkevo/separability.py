@@ -37,6 +37,36 @@ def _as_labeled(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def _neighbour_distances(X: np.ndarray) -> np.ndarray:
+    """Distance matrix of the rows of ``X`` with an infinite diagonal, so no
+    row is its own nearest neighbour."""
+    dist = _cross_distances(X, X)
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+def _check_hmi(y: np.ndarray, mode: str) -> None:
+    if mode not in HMI_MODES:
+        raise ValueError(f"mode must be one of {HMI_MODES}, got {mode!r}")
+    classes, counts = np.unique(y, return_counts=True)
+    if classes.size < 2:
+        raise ValueError("hypothesis margin needs at least 2 classes")
+    if counts.min() < 2:
+        raise ValueError("every class needs at least 2 members for a near-hit")
+
+
+def _si(dist: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean(y[dist.argmin(axis=1)] == y))
+
+
+def _hmi(dist: np.ndarray, y: np.ndarray, mode: str) -> float:
+    same = y[:, None] == y[None, :]
+    near_hit = np.where(same, dist, np.inf).min(axis=1)
+    near_miss = np.where(same, np.inf, dist).min(axis=1)
+    theta = 0.5 * (near_miss - near_hit)
+    return float(theta.sum() if mode == "sum" else theta.mean())
+
+
 def separability_index(X, y) -> float:
     """Fraction of instances whose nearest neighbour shares their label.
 
@@ -45,10 +75,7 @@ def separability_index(X, y) -> float:
     X, y = _as_labeled(X, y)
     if X.shape[0] < 2:
         raise ValueError("separability index needs at least 2 instances")
-    dist = _cross_distances(X, X)
-    np.fill_diagonal(dist, np.inf)
-    nearest = dist.argmin(axis=1)
-    return float(np.mean(y[nearest] == y))
+    return _si(_neighbour_distances(X), y)
 
 
 def hypothesis_margin_index(X, y, mode: str = "sum") -> float:
@@ -57,34 +84,31 @@ def hypothesis_margin_index(X, y, mode: str = "sum") -> float:
     Features are min-max scaled to [0, 1] first.  ``mode`` selects the
     aggregation: "sum" (default) or "mean" over instances.
     """
-    if mode not in HMI_MODES:
-        raise ValueError(f"mode must be one of {HMI_MODES}, got {mode!r}")
     X, y = _as_labeled(X, y)
-    classes, counts = np.unique(y, return_counts=True)
-    if classes.size < 2:
-        raise ValueError("hypothesis margin needs at least 2 classes")
-    if counts.min() < 2:
-        raise ValueError("every class needs at least 2 members for a near-hit")
-    scaled = _scale01(X)
-    dist = _cross_distances(scaled, scaled)
-    np.fill_diagonal(dist, np.inf)
-    same = y[:, None] == y[None, :]
-    near_hit = np.where(same, dist, np.inf).min(axis=1)
-    near_miss = np.where(same, np.inf, dist).min(axis=1)
-    theta = 0.5 * (near_miss - near_hit)
-    return float(theta.sum() if mode == "sum" else theta.mean())
+    _check_hmi(y, mode)
+    return _hmi(_neighbour_distances(_scale01(X)), y, mode)
 
 
 def ks_statistic(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov distance, exact via the merged sweep."""
+    """Two-sample Kolmogorov-Smirnov distance, exact via one merged sweep.
+
+    A stable sort of the two sorted samples merges them.  At the last copy
+    of each distinct value the running count of ``a`` values is #a <= v,
+    and the position less that count is #b <= v.
+    """
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
     if a.size == 0 or b.size == 0:
         raise ValueError("KS statistic needs two non-empty samples")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    merged = np.concatenate([a, b])
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    last = np.append(merged[1:] != merged[:-1], True)
+    del merged
+    count_a = np.cumsum(order < a.size)[last]
+    del order
+    count_b = np.flatnonzero(last) + 1 - count_a
+    return float(np.max(np.abs(count_a / a.size - count_b / b.size)))
 
 
 def _intra_distances(points: np.ndarray) -> np.ndarray:
@@ -106,19 +130,28 @@ def dsi_two_class(x_points, y_points) -> float:
 
 def dsi(X, y) -> float:
     """Multiclass distance-based separability: mean of the one-vs-rest
-    two-class values over the classes."""
+    two-class values over the classes.  With two classes both terms
+    describe the same pair, so one two-class value is the mean."""
     X, y = _as_labeled(X, y)
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("DSI needs at least 2 classes")
+    if classes.size == 2:
+        return dsi_two_class(X[y == classes[0]], X[y == classes[1]])
     values = [dsi_two_class(X[y == c], X[y != c]) for c in classes]
     return float(np.mean(values))
 
 
 def compute_indexes(X, y, hmi_mode: str = "sum") -> tuple[float, float, float]:
-    """(SI, HMI, DSI) on features min-max scaled to [0, 1]."""
+    """(SI, HMI, DSI) on features min-max scaled to [0, 1].
+
+    SI and HMI share one distance matrix: rescaling rows already in [0, 1]
+    leaves them bit for bit as they are, so HMI's own scaling is skipped.
+    """
     X, y = _as_labeled(X, y)
+    _check_hmi(y, hmi_mode)  # two classes of two rows also cover SI's two rows
     scaled = _scale01(X)
-    return (separability_index(scaled, y),
-            hypothesis_margin_index(scaled, y, mode=hmi_mode),
-            dsi(scaled, y))
+    dist = _neighbour_distances(scaled)
+    si, hmi = _si(dist, y), _hmi(dist, y, hmi_mode)
+    del dist  # released before DSI builds its own distance sets
+    return si, hmi, dsi(scaled, y)

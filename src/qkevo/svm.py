@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 
 # Alphas closer than this to a box bound are not counted as support vectors.
 _SV_EPS = 1e-8
@@ -36,9 +36,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.C <= 0 or self.tolerance <= 0:
-            raise ValueError("C and tolerance must be positive")
+            raise ConfigError("C and tolerance must be positive")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ConfigError("max_iterations must be >= 1")
 
 
 @dataclass

@@ -4,7 +4,8 @@ Everything here is deliberately built a different way from the library:
 full 2^n x 2^n unitary products instead of in-place gate application,
 naive front peeling instead of Deb's bookkeeping, a per-value loop over
 the unique objective values instead of sorted-array crowding, random
-feasible duals instead of SMO.  Slow and simple on purpose.
+feasible duals instead of SMO, per-value counting instead of the merged
+KS sweep.  Slow and simple on purpose.
 """
 import numpy as np
 
@@ -117,6 +118,18 @@ def crowding_by_definition(objectives) -> list[float]:
             else:
                 dist[i] += (uniq[k + 1] - uniq[k - 1]) / (uniq[-1] - uniq[0])
     return dist
+
+
+def ks_by_definition(a, b) -> float:
+    """Two-sample KS distance: the largest |#a<=v/na - #b<=v/nb| over every
+    value v of either sample, counted one value at a time."""
+    a, b = list(a), list(b)
+    best = 0.0
+    for v in a + b:
+        below_a = sum(1 for x in a if x <= v)
+        below_b = sum(1 for x in b if x <= v)
+        best = max(best, abs(below_a / len(a) - below_b / len(b)))
+    return best
 
 
 def random_feasible_alphas(rng: np.random.Generator, y: np.ndarray, C: float,

@@ -129,6 +129,17 @@ def test_unknown_hmi_mode_in_config_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flags", [
+    ("evolve", ("--svm-c", "-1")), ("kernels", ("--svm-c", "0", "--classical-only"))],
+    ids=["evolve", "kernels"])
+def test_non_positive_svm_c_is_usage_error(tmp_path, capsys, command, flags):
+    out = tmp_path / "run"
+    args = _evolve_args(out, extra=flags)
+    assert main([command, *args[1:]]) == 1
+    assert "C and tolerance must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
     ("evolve", ()), ("kernels", ("--classical-only",)), ("kernels", ("--dump-grams",))],
     ids=["evolve", "kernels-classical-only", "kernels-dump-grams"])
 def test_evolve_without_test_rows_is_usage_error(tmp_path, command, flags):
@@ -193,6 +204,27 @@ def test_separability_rows(tmp_path):
     assert rows[0] == "dataset,features,n_instances,si,hmi,dsi"
     assert len(rows) == 5  # header + 3 combos + mean
     assert rows[-1].split(",")[1] == "mean"
+
+
+@pytest.mark.parametrize("section", [{"evolve": {"population_size": 3}},
+                                     {"svm": {"C": -1}}], ids=["evolve", "svm"])
+def test_separability_ignores_sections_it_never_reads(tmp_path, section):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(section))
+    args = ["separability", "--dataset", IRIS, "--label-col", "species",
+            "--qubits", "2", "--combos", "3"]
+    assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*args, "--config", str(config), "--out", str(tmp_path / "cfg")]) == 0
+    assert ((tmp_path / "cfg" / "separability.csv").read_bytes()
+            == (tmp_path / "plain" / "separability.csv").read_bytes())
+
+
+@pytest.mark.parametrize("qubits", ["0", "-1"])
+def test_separability_without_qubits_is_usage_error(tmp_path, qubits):
+    out = tmp_path / "s"
+    assert main(["separability", "--dataset", IRIS, "--label-col", "species",
+                 "--qubits", qubits, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -3,9 +3,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qkevo.separability import (compute_indexes, dsi, dsi_two_class,
+from qkevo.data import load_csv, subset_features
+from qkevo.separability import (_scale01, compute_indexes, dsi, dsi_two_class,
                                 hypothesis_margin_index, ks_statistic,
                                 separability_index)
+
+from conftest import REPO_ROOT
+from oracles import ks_by_definition
 
 
 def _two_far_clusters(rng, n_per=10, gap=50.0):
@@ -123,6 +127,18 @@ def test_ks_matches_scipy():
         assert abs(ks_statistic(a, b) - want) < 1e-12
 
 
+def test_ks_matches_definition_with_ties():
+    # Small integer ranges make most values repeat within and across samples.
+    rng = np.random.default_rng(63)
+    for size_a in range(1, 61):
+        size_b = int(rng.integers(1, 61))
+        top = int(rng.integers(1, 8))
+        a = rng.integers(0, top, size=size_a)
+        b = rng.integers(0, top, size=size_b)
+        assert ks_statistic(a, b) == ks_by_definition(a, b)
+        assert ks_statistic(b, a) == ks_by_definition(b, a)
+
+
 def test_dsi_two_class_disjoint_supports():
     eps = 1e-4
     X = np.array([[0.0, 0.0], [0.0, eps]])
@@ -198,3 +214,46 @@ def test_compute_indexes_full_iris(iris_csv):
     assert abs(si - 0.96) < 1e-12  # frozen: scaled 4-feature value
     assert 0.0 <= dsi_val <= 1.0
     assert hmi > 0.0
+
+
+# (SI, HMI, DSI) exactly as computed before SI and HMI shared one distance
+# matrix and KS became one merged sweep; the rewrite must keep every bit.
+_IRIS = ("iris.csv", "species", None)
+_IRIS_SETOSA = ("iris.csv", "species", "setosa")
+_CANCER = ("breast_cancer.csv", "diagnosis", None)
+_GOLDEN = [
+    (_IRIS, (0, 1, 2, 3), "sum", (0.96, 20.964919710348283, 0.6350652786367071)),
+    (_IRIS, (0, 1, 2, 3), "mean", (0.96, 0.13976613140232189, 0.6350652786367071)),
+    (_IRIS_SETOSA, (0, 1, 2, 3), "sum", (1.0, 51.81400692936839, 0.8923979591836735)),
+    (_IRIS_SETOSA, (0, 1, 2, 3), "mean", (1.0, 0.3454267128624559, 0.8923979591836735)),
+    (_CANCER, (0, 1), "sum", (0.8629173989455184, 16.357402627829785, 0.3540331172552937)),
+    (_CANCER, (0, 1), "mean",
+     (0.8629173989455184, 0.028747632034850236, 0.3540331172552937)),
+    (_CANCER, (7, 27), "sum", (0.8611599297012302, 21.07237068905677, 0.5342129462459091)),
+    (_CANCER, (7, 27), "mean",
+     (0.8611599297012302, 0.03703404339025794, 0.5342129462459091)),
+    (_CANCER, (0, 5, 10, 15, 20, 25), "sum",
+     (0.9367311072056239, 32.60124866194109, 0.42126119110854043)),
+    (_CANCER, (0, 5, 10, 15, 20, 25), "mean",
+     (0.9367311072056239, 0.05729569184875412, 0.42126119110854043)),
+    (_CANCER, (2, 3, 8, 13, 21, 29), "sum",
+     (0.9314586994727593, 32.00893573865251, 0.37777934836858107)),
+    (_CANCER, (2, 3, 8, 13, 21, 29), "mean",
+     (0.9314586994727593, 0.05625472010307998, 0.37777934836858107)),
+]
+
+
+@pytest.mark.parametrize("source, features, mode, want", _GOLDEN, ids=[
+    f"{name.split('.')[0]}{'-' + positive if positive else ''}"
+    f"-{'.'.join(map(str, features))}-{mode}"
+    for (name, _, positive), features, mode, _ in _GOLDEN])
+def test_compute_indexes_golden_values(source, features, mode, want):
+    name, label, positive = source
+    data = subset_features(load_csv(REPO_ROOT / "data" / name, label, positive),
+                           list(features))
+    got = compute_indexes(data.X, data.y, hmi_mode=mode)
+    assert got == want
+    scaled = _scale01(data.X)
+    assert got == (separability_index(scaled, data.y),
+                   hypothesis_margin_index(scaled, data.y, mode=mode),
+                   dsi(scaled, data.y))

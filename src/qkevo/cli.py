@@ -52,7 +52,7 @@ class RunConfig:
     combo_count: int | None     # ... or sampled combos of size n_qubits
     combo_seed: int
     n_qubits: int
-    hmi_mode: str
+    hmi_mode: str | None  # None for ``kernels``, which computes no indexes
     out_dir: str
     # Resolved only for the commands that split, scale, evolve and train.
     split: SplitSpec | None = None
@@ -174,6 +174,18 @@ def _pick(args, name: str, cfg: dict, key: str, default):
     return cfg.get(key, default)
 
 
+def _integer(value, key: str) -> int | None:
+    """``value`` as an int, None kept; a number with a fractional part is
+    refused rather than truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return None if value is None else int(value)
+
+
+def _pick_int(args, name: str, cfg: dict, key: str, default) -> int | None:
+    return _integer(_pick(args, name, cfg, key, default), key)
+
+
 def _resolve(args, training: bool) -> RunConfig:
     """Run settings from flags, the config file and defaults.  The split,
     scaling, SVM and GA sections are read, and so validated, only when
@@ -195,11 +207,11 @@ def _resolve(args, training: bool) -> RunConfig:
     if args.features is not None:
         features = _parse_feature_list(args.features)
     elif "list" in feat_cfg:
-        features = [int(i) for i in feat_cfg["list"]]
-    combo_count = _pick(args, "combos", feat_cfg, "combos", None)
+        features = [_integer(i, "list") for i in feat_cfg["list"]]
+    combo_count = _pick_int(args, "combos", feat_cfg, "combos", None)
     if features is not None and combo_count is not None:
         raise ConfigError("choose either explicit --features or --combos, not both")
-    n_qubits = _pick(args, "qubits", feat_cfg, "k", None)
+    n_qubits = _pick_int(args, "qubits", feat_cfg, "k", None)
     if features is not None:
         if n_qubits is not None and n_qubits != len(features):
             raise ConfigError(
@@ -208,22 +220,24 @@ def _resolve(args, training: bool) -> RunConfig:
         n_qubits = len(features)
     if n_qubits is None:
         raise ConfigError("a qubit count is required (--qubits, --features or config)")
-    n_qubits = int(n_qubits)
     if n_qubits < 1:
         raise ConfigError("n_qubits must be >= 1")
     if combo_count is None and features is None:
         features = list(range(n_qubits))
 
-    hmi_mode = _pick(args, "hmi_mode", cfg, "hmi_mode", "sum")
-    if hmi_mode not in HMI_MODES:
-        raise ConfigError(f"hmi_mode must be one of {HMI_MODES}, got {hmi_mode!r}")
+    # Only the commands that compute separability indexes take --hmi-mode.
+    hmi_mode = None
+    if hasattr(args, "hmi_mode"):
+        hmi_mode = _pick(args, "hmi_mode", cfg, "hmi_mode", "sum")
+        if hmi_mode not in HMI_MODES:
+            raise ConfigError(f"hmi_mode must be one of {HMI_MODES}, got {hmi_mode!r}")
     run = RunConfig(
         dataset_path=str(dataset_path),
         label_column=label_column,
         positive_class=_pick(args, "positive_class", ds_cfg, "positive_class", None),
         features=features,
-        combo_count=None if combo_count is None else int(combo_count),
-        combo_seed=int(_pick(args, "combo_seed", feat_cfg, "seed", 0)),
+        combo_count=combo_count,
+        combo_seed=_pick_int(args, "combo_seed", feat_cfg, "seed", 0),
         n_qubits=n_qubits,
         hmi_mode=hmi_mode,
         out_dir=str(_pick(args, "out", cfg, "out", "runs")),
@@ -238,37 +252,40 @@ def _resolve(args, training: bool) -> RunConfig:
     early = ga_cfg.get("early_stop", {})
     target_acc = _pick(args, "target_accuracy", early, "target_accuracy",
                        EarlyStop.target_accuracy)
-    stagnation = _pick(args, "stagnation", early, "stagnation_generations",
-                       EarlyStop.stagnation_generations)
+    stagnation = _pick_int(args, "stagnation", early, "stagnation_generations",
+                           EarlyStop.stagnation_generations)
     run.evolve = EvolveConfig(
         n_qubits=n_qubits,
-        population_size=int(_pick(args, "population", ga_cfg, "population_size",
-                                  EvolveConfig.population_size)),
-        generations=int(_pick(args, "generations", ga_cfg, "generations",
-                              EvolveConfig.generations)),
+        population_size=_pick_int(args, "population", ga_cfg, "population_size",
+                                  EvolveConfig.population_size),
+        generations=_pick_int(args, "generations", ga_cfg, "generations",
+                              EvolveConfig.generations),
         crossover_prob=float(_pick(args, "crossover_prob", ga_cfg, "crossover_prob",
                                    EvolveConfig.crossover_prob)),
         mutation_prob=_pick(args, "mutation_prob", ga_cfg, "mutation_prob",
                             EvolveConfig.mutation_prob),
-        tournament_size=int(_pick(args, "tournament_size", ga_cfg, "tournament_size",
-                                  EvolveConfig.tournament_size)),
-        seed=int(_pick(args, "seed", ga_cfg, "seed", EvolveConfig.seed)),
+        tournament_size=_pick_int(args, "tournament_size", ga_cfg, "tournament_size",
+                                  EvolveConfig.tournament_size),
+        seed=_pick_int(args, "seed", ga_cfg, "seed", EvolveConfig.seed),
         early_stop=EarlyStop(
             target_accuracy=None if target_acc is None else float(target_acc),
-            stagnation_generations=None if stagnation is None else int(stagnation),
+            stagnation_generations=stagnation,
         ),
     )
     run.svm = TrainConfig(
         C=float(_pick(args, "svm_c", svm_cfg, "C", TrainConfig.C)),
         tolerance=float(svm_cfg.get("tolerance", TrainConfig.tolerance)),
-        max_iterations=int(svm_cfg.get("max_iterations", TrainConfig.max_iterations)),
+        max_iterations=_integer(svm_cfg.get("max_iterations", TrainConfig.max_iterations),
+                                "max_iterations"),
     )
+    stratified = split_cfg.get("stratified", SplitSpec.stratified)
+    if not isinstance(stratified, bool):
+        raise ConfigError(f"stratified must be true or false, got {stratified!r}")
     run.split = SplitSpec(
-        n_train=int(_pick(args, "train_size", split_cfg, "n_train", 100)),
-        n_test=int(_pick(args, "test_size", split_cfg, "n_test", 50)),
-        seed=int(_pick(args, "split_seed", split_cfg, "seed", SplitSpec.seed)),
-        stratified=(not getattr(args, "no_stratify", False)
-                    and bool(split_cfg.get("stratified", SplitSpec.stratified))),
+        n_train=_pick_int(args, "train_size", split_cfg, "n_train", 100),
+        n_test=_pick_int(args, "test_size", split_cfg, "n_test", 50),
+        seed=_pick_int(args, "split_seed", split_cfg, "seed", SplitSpec.seed),
+        stratified=not getattr(args, "no_stratify", False) and stratified,
     )
     run.scale = (float(_pick(args, "scale_lo", scale_cfg, "lo", 0.0)),
                  float(_pick(args, "scale_hi", scale_cfg, "hi", DEFAULT_SCALE_HI)))

@@ -48,11 +48,14 @@ class SvmModel:
     support_indices: np.ndarray
     train_labels: np.ndarray
     regularization: float
+    # Pair updates SMO made; equal to max_iterations when the cap stopped it.
+    iterations: int = 0
 
 
 def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float,
-           max_iterations: int) -> np.ndarray:
-    """Alphas of the dual by maximal-violating-pair SMO.
+           max_iterations: int) -> tuple[np.ndarray, int]:
+    """Alphas of the dual by maximal-violating-pair SMO, and the number of
+    pair updates made (``max_iterations`` when the cap stopped the loop).
 
     ``v`` is -y * gradient of the dual in minimisation form, so it starts
     at ``y``.  Each step moves the pair (i, j) that violates the KKT
@@ -60,37 +63,54 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float,
     up the constraint line, j minimises it over those that can move down.
     Ties go to the first index, so flipping every label swaps the roles of
     i and j and leaves the iterates mirrored exactly.
+
+    The per-step scalars live in Python floats (IEEE doubles, as numpy's)
+    and the arrays in buffers allocated once, so each step costs a few
+    numpy calls on ``n`` elements and no temporaries.
     """
-    alpha = np.zeros(y.size)
+    n = y.size
+    labels, pos = y.tolist(), (y > 0).tolist()
+    diag = K.diagonal().tolist()
+    cols = np.ascontiguousarray(K.T)  # row k holds K[:, k]
+    alpha = [0.0] * n
     v = y.copy()
-    pos = y > 0
-    # Membership of I_up and I_low; only rows i and j can change it.
-    in_up, in_low = pos.copy(), ~pos
-    for _ in range(max_iterations):
-        up = np.where(in_up, v, -np.inf)
-        low = np.where(in_low, v, np.inf)
-        i, j = int(np.argmax(up)), int(np.argmin(low))
-        gap = up[i] - low[j]
+    # Membership of I_up and I_low as additive masks: 0 for members, -inf
+    # (I_up) or +inf (I_low) otherwise.  Only rows i and j can change them.
+    up_mask = np.where(pos, 0.0, -np.inf)
+    low_mask = np.where(pos, np.inf, 0.0)
+    up, low, step = np.empty(n), np.empty(n), np.empty(n)
+    steps = 0
+    while steps < max_iterations:
+        np.add(v, up_mask, out=up)
+        np.add(v, low_mask, out=low)
+        i, j = int(up.argmax()), int(low.argmin())
+        gap = up.item(i) - low.item(j)
         if gap <= tol:
             break
         room_i = C - alpha[i] if pos[i] else alpha[i]
         room_j = alpha[j] if pos[j] else C - alpha[j]
         # A flat or concave direction has no interior optimum: go to the box.
         t = min(room_i, room_j)
-        curvature = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        curvature = diag[i] + diag[j] - 2.0 * K.item(i, j)
         if curvature > 0.0:
             t = min(t, gap / curvature)
-        alpha[i] += y[i] * t
-        alpha[j] -= y[j] * t
+        alpha[i] += labels[i] * t
+        alpha[j] -= labels[j] * t
         if t == room_i:
             alpha[i] = C if pos[i] else 0.0
         if t == room_j:
             alpha[j] = 0.0 if pos[j] else C
         for k in (i, j):
             below, above = alpha[k] < C, alpha[k] > 0.0
-            in_up[k], in_low[k] = (below, above) if pos[k] else (above, below)
-        v -= t * (K[:, i] - K[:, j])
-    return alpha
+            in_up, in_low = (below, above) if pos[k] else (above, below)
+            up_mask[k] = 0.0 if in_up else -np.inf
+            low_mask[k] = 0.0 if in_low else np.inf
+        # v -= t * (K[:, i] - K[:, j]), one operation at a time in place.
+        np.subtract(cols[i], cols[j], out=step)
+        step *= t
+        v -= step
+        steps += 1
+    return np.array(alpha), steps
 
 
 def final_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
@@ -121,7 +141,9 @@ def _check_gram(gram: np.ndarray) -> np.ndarray:
     K = np.asarray(gram, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"gram matrix must be square, got shape {K.shape}")
-    if not np.allclose(K, K.T, atol=1e-8):
+    # Exact equality first: quantum Grams are symmetric by construction, and
+    # NaN (never equal) still falls through to allclose, which rejects it.
+    if not np.array_equal(K, K.T) and not np.allclose(K, K.T, atol=1e-8):
         raise ValueError("gram matrix must be symmetric")
     return K
 
@@ -138,11 +160,12 @@ def train_dual(gram, y, config: TrainConfig | None = None) -> SvmModel:
         raise ValueError("labels must be -1 or +1")
     if np.all(y == y[0]):
         raise TrainingError("training labels contain a single class")
-    alphas = _solve(K, y, config.C, config.tolerance, config.max_iterations)
+    alphas, iterations = _solve(K, y, config.C, config.tolerance,
+                                config.max_iterations)
     bias = final_bias(K, y, alphas, config.C)
     support = np.flatnonzero(alphas > _SV_EPS)
     return SvmModel(alphas=alphas, bias=bias, support_indices=support,
-                    train_labels=y, regularization=config.C)
+                    train_labels=y, regularization=config.C, iterations=iterations)
 
 
 def decision_values(model: SvmModel, cross) -> np.ndarray:

@@ -5,7 +5,8 @@ full 2^n x 2^n unitary products instead of in-place gate application,
 naive front peeling instead of Deb's bookkeeping, a per-value loop over
 the unique objective values instead of sorted-array crowding, random
 feasible duals instead of SMO, per-value counting instead of the merged
-KS sweep.  Slow and simple on purpose.
+KS sweep, whole-array masks instead of the solver's scalar SMO loop.
+Slow and simple on purpose.
 """
 import numpy as np
 
@@ -150,3 +151,43 @@ def random_feasible_alphas(rng: np.random.Generator, y: np.ndarray, C: float,
             a[~pos] *= s_pos / s_neg
         out[k] = a
     return out
+
+
+def smo_by_masks(K: np.ndarray, y: np.ndarray, C: float, tol: float,
+                 max_iterations: int) -> tuple[np.ndarray, int]:
+    """Maximal-violating-pair SMO with the index sets as boolean masks and
+    whole-array numpy updates: the same pair rule, step, bound snap and
+    float operations as ``svm._solve``, so the alphas must match bit for
+    bit.  Returns the alphas and the number of pair updates made."""
+    alpha = np.zeros(y.size)
+    v = y.copy()
+    pos = y > 0
+    # Membership of I_up and I_low; only rows i and j can change it.
+    in_up, in_low = pos.copy(), ~pos
+    steps = 0
+    for _ in range(max_iterations):
+        up = np.where(in_up, v, -np.inf)
+        low = np.where(in_low, v, np.inf)
+        i, j = int(np.argmax(up)), int(np.argmin(low))
+        gap = up[i] - low[j]
+        if gap <= tol:
+            break
+        room_i = C - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else C - alpha[j]
+        # A flat or concave direction has no interior optimum: go to the box.
+        t = min(room_i, room_j)
+        curvature = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if curvature > 0.0:
+            t = min(t, gap / curvature)
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        if t == room_i:
+            alpha[i] = C if pos[i] else 0.0
+        if t == room_j:
+            alpha[j] = 0.0 if pos[j] else C
+        for k in (i, j):
+            below, above = alpha[k] < C, alpha[k] > 0.0
+            in_up[k], in_low[k] = (below, above) if pos[k] else (above, below)
+        v -= t * (K[:, i] - K[:, j])
+        steps += 1
+    return alpha, steps

@@ -128,6 +128,35 @@ def test_unknown_hmi_mode_in_config_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section", [
+    pytest.param({"svm": {"max_iterations": 2.5}}, id="max_iterations"),
+    pytest.param({"evolve": {"tournament_size": 2.5}}, id="tournament_size"),
+    pytest.param({"evolve": {"early_stop": {"stagnation_generations": 1.5}}},
+                 id="stagnation_generations"),
+    pytest.param({"split": {"stratified": "false"}}, id="stratified-string"),
+    pytest.param({"split": {"stratified": 0}}, id="stratified-number")])
+def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, section):
+    # Before, int() and bool() coerced these: 2.5 steps became 2 and the
+    # string "false" ran a stratified split.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(section))
+    out = tmp_path / "run"
+    assert main(_evolve_args(out, extra=("--config", str(config)))) == 1
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kernels_ignores_hmi_mode_in_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"hmi_mode": "median"}))
+    args = _evolve_args(tmp_path / "plain", extra=("--classical-only",))
+    assert main(["kernels", *args[1:]]) == 0
+    args = _evolve_args(tmp_path / "cfg", extra=("--classical-only", "--config", str(config)))
+    assert main(["kernels", *args[1:]]) == 0
+    assert ((tmp_path / "cfg" / "kernels.csv").read_bytes()
+            == (tmp_path / "plain" / "kernels.csv").read_bytes())
+
+
 @pytest.mark.parametrize("command, flags", [
     ("evolve", ("--svm-c", "-1")), ("kernels", ("--svm-c", "0", "--classical-only"))],
     ids=["evolve", "kernels"])

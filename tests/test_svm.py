@@ -1,4 +1,6 @@
 """SMO solver feasibility, optimality and prediction behaviour."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,15 @@ from qkevo.data import SplitSpec, load_csv, make_split, minmax_scale, subset_fea
 from qkevo.errors import TrainingError
 from qkevo.featuremap import Genome, decode, genome_length
 from qkevo.kernel import classical_kernel, quantum_gram
-from qkevo.svm import (MulticlassModel, SvmModel, TrainConfig, accuracy,
+from qkevo.svm import (MulticlassModel, SvmModel, TrainConfig, _solve, accuracy,
                        decision_values, dual_objective, fit_score, predict,
                        predict_multiclass, train_dual, train_multiclass)
 
 from conftest import REPO_ROOT
-from oracles import random_feasible_alphas
+from oracles import random_feasible_alphas, smo_by_masks
 
 CANCER = REPO_ROOT / "data" / "breast_cancer.csv"
+IRIS = REPO_ROOT / "data" / "iris.csv"
 
 
 def test_two_point_problem():
@@ -45,7 +48,9 @@ def test_xor_rbf_training_accuracy():
                - dual_objective(alpha, K, y)) < 1e-2
 
 
-def test_constraints_hold_on_random_problems():
+def _random_problems():
+    """(X, y, C) for RBF problems of 6-24 rows, ending with one that needs
+    the bound snap."""
     rng = np.random.default_rng(33)
     problems = []
     for _ in range(25):
@@ -60,7 +65,11 @@ def test_constraints_hold_on_random_problems():
     rng = np.random.default_rng(55)
     problems.append((rng.normal(size=(6, 2)),
                      np.where(rng.random(6) < 0.5, -1.0, 1.0), 2.9))
-    for X, y, C in problems:
+    return problems
+
+
+def test_constraints_hold_on_random_problems():
+    for X, y, C in _random_problems():
         K = classical_kernel("rbf", X, X)
         config = TrainConfig(C=C)
         model = train_dual(K, y, config)
@@ -86,9 +95,10 @@ def test_dual_objective_beats_random_feasible_points():
         assert dual_objective(model.alphas, K, y) >= best_random
 
 
-def test_kkt_audit():
+def _kkt_problems():
+    """(K, y) for RBF problems, a sigmoid Gram, quantum Grams on cancer
+    features, and a quantum Gram with a zero-curvature first pair."""
     rng = np.random.default_rng(35)
-    config = TrainConfig()
     problems = []
     for _ in range(10):
         n = 20
@@ -112,7 +122,12 @@ def test_kkt_audit():
     X = tts.X_train.copy()
     X[np.argmax(tts.y_train < 0)] = X[np.argmax(tts.y_train > 0)]
     problems.append((quantum_gram(template, X), tts.y_train))
-    for K, y in problems:
+    return problems
+
+
+def test_kkt_audit():
+    config = TrainConfig()
+    for K, y in _kkt_problems():
         n = y.size
         model = train_dual(K, y, config)
         assert np.all(model.alphas >= 0.0) and np.all(model.alphas <= config.C)
@@ -124,6 +139,58 @@ def test_kkt_audit():
                 assert margins[i] <= 1.0 + 2 * config.tolerance
             else:
                 assert abs(margins[i] - 1.0) <= 2 * config.tolerance
+
+
+def _quantum_pair_problems():
+    """(K, y) SMO problems from quantum Grams of random genomes on 100/50
+    splits: the three one-vs-one pairs of iris features 0,1,2, and cancer
+    combos of 2, 6 and 8 features."""
+    rng = np.random.default_rng(57)
+    problems = []
+    iris = load_csv(IRIS, "species")
+    tts = make_split(minmax_scale(subset_features(iris, [0, 1, 2]), 0.0, np.pi),
+                     SplitSpec(100, 50))
+    classes = np.unique(tts.y_train)
+    for _ in range(4):
+        gram = quantum_gram(decode(Genome(3, rng.integers(0, 2, size=genome_length(3)))),
+                            tts.X_train)
+        for a, b in combinations(classes, 2):
+            rows = np.flatnonzero((tts.y_train == a) | (tts.y_train == b))
+            problems.append((gram[np.ix_(rows, rows)],
+                             np.where(tts.y_train[rows] == a, 1.0, -1.0)))
+    cancer = load_csv(CANCER, "diagnosis", positive_class="malignant")
+    for k in (2, 6, 8):
+        for _ in range(4):
+            features = sorted(rng.choice(30, size=k, replace=False))
+            scaled = minmax_scale(subset_features(cancer, features), 0.0, np.pi)
+            tts = make_split(scaled, SplitSpec(100, 50, seed=k))
+            template = decode(Genome(k, rng.integers(0, 2, size=genome_length(k))))
+            problems.append((quantum_gram(template, tts.X_train), tts.y_train))
+    return problems
+
+
+def test_solver_matches_mask_oracle_bit_for_bit():
+    cases = [(K, y, 1.0, 100_000) for K, y in _quantum_pair_problems()]
+    cases += [(K, y, 1.0, 100_000) for K, y in _kkt_problems()]
+    cases += [(classical_kernel("rbf", X, X), y, C, 100_000)
+              for X, y, C in _random_problems()]
+    # One run that the cap stops: the first quantum problem needs more steps.
+    K, y = cases[0][:2]
+    cases.append((K, y, 1.0, 5))
+    for K, y, C, cap in cases:
+        K, y = np.asarray(K, dtype=float), np.asarray(y, dtype=float)
+        alphas, steps = _solve(K, y, C, 1e-3, cap)
+        want_alphas, want_steps = smo_by_masks(K, y, C, 1e-3, cap)
+        assert np.array_equal(alphas, want_alphas)
+        assert steps == want_steps
+    assert steps == 5
+
+
+def test_model_reports_smo_iterations():
+    K, y = _kkt_problems()[0]
+    converged = train_dual(K, y)
+    assert 3 < converged.iterations < TrainConfig.max_iterations
+    assert train_dual(K, y, TrainConfig(max_iterations=3)).iterations == 3
 
 
 def test_single_class_labels_raise():

@@ -3,12 +3,21 @@
 The quantum kernel of two samples is the squared overlap of their
 feature-map states, K(x, y) = |<phi(x)|phi(y)>|^2.  The batched preparation
 below equals, row by row and global phase included, running each bound
-circuit gate by gate on |0...0> (``simulator``), by two exact identities:
+circuit gate by gate on |0...0> (``simulator``), by three exact identities:
 
 * CNOT(i,j) . RZ_j(t) . CNOT(i,j) = exp(-i t/2 Z_i Z_j), so a layer's
   entangling blocks and Z rotations are one diagonal phase per row;
 * RX(t) . H = H . RZ(t), so X rotations move through the Hadamard layer
-  into the previous layer's phase (the first one is a scalar on |0...0>).
+  into the previous layer's phase (the first one is a scalar on |0...0>);
+* exp(-i/2 (a + b)) = exp(-i a/2) exp(-i b/2), so that phase is a product
+  of one factor f = exp(-i w/2) per entangled pair (w = x_i x_j) and per
+  rotated qubit (w = x_q), each raised to the power z_i z_j or z_q of the
+  Z eigenvalues (+1 or -1) on the basis index.  It is built by doubling
+  over the qubits: appending qubit q multiplies the phase of qubits
+  0..q-1 by E_q on the half where q is 0 and by conj(E_q) where q is 1,
+  and E_q is q's own rotation factor times f_iq^(z_i) over q's pairs
+  (i, q), i < q.  A row costs one cos and one sin per term instead of one
+  per amplitude, and no large angle sum is ever rounded.
 
 So a layer is one Hadamard transform and one phase multiply.  Y rotations
 stay an element-wise mix of each amplitude with its bit-flipped partner.
@@ -24,6 +33,8 @@ from .featuremap import FeatureMapTemplate
 from .simulator import MAX_QUBITS
 
 CLASSICAL_KINDS = ("linear", "poly", "rbf", "sigmoid")
+# Index of f^(z_a z_b) among (f, conj f) for bits a, b: conj exactly when a != b.
+_SIGN_PRODUCT = np.array([[0, 1], [1, 0]])
 
 
 def _as_data_matrix(X, n_features: int, name: str) -> np.ndarray:
@@ -54,20 +65,73 @@ def _hadamard_all(states: np.ndarray, n: int) -> np.ndarray:
     return psi.view(complex).reshape(states.shape)
 
 
-def _phase(angles: np.ndarray) -> np.ndarray:
-    # exp(-i angles/2): cos and sin written in place cost about half of np.exp.
-    out = np.empty(angles.shape, dtype=complex)
-    np.cos(0.5 * angles, out=out.real)
-    np.sin(-0.5 * angles, out=out.imag)
+def _factors(angles: np.ndarray) -> np.ndarray:
+    # out[k, 0] = exp(-i angles[k]/2) and out[k, 1] its conjugate, from one
+    # cos and one sin per angle.
+    half = 0.5 * angles
+    cos, sin = np.cos(half), np.sin(half)
+    out = np.empty((angles.shape[0], 2, angles.shape[1]), dtype=complex)
+    out.real[...] = cos[:, None]
+    np.negative(sin, out=out.imag[:, 0])
+    out.imag[:, 1] = sin
     return out
 
 
-def _rotate_y(states: np.ndarray, q: int, angles: np.ndarray) -> None:
-    # RY is real, so it mixes the real and imaginary parts alike, in place.
+def _layer_phases(template: FeatureMapTemplate, X: np.ndarray):
+    """Per-row factors of the rotated qubits and the layer phases (inner, last).
+
+    X holds one data row per column.  A phase is a tensor with one axis per
+    qubit (qubit n-1 first) and the rows last, of size 1 on every qubit it
+    does not involve, so it broadcasts onto ``states.reshape((2,)*n + (rows,))``.
+    """
+    n, axis, rows = template.n_qubits, template.rotation_axis, X.shape[1]
+    rot = [q for q, on in enumerate(template.rotation_enabled) if on]
+    pairs = template.entangle_pairs
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    angles = np.empty((len(pairs) + len(rot), rows))
+    np.multiply(X.take(i, axis=0), X.take(j, axis=0), out=angles[:len(pairs)])
+    X.take(rot, axis=0, out=angles[len(pairs):])
+    f = _factors(angles)
+    zz = f[:len(pairs)].take(_SIGN_PRODUCT, axis=1)  # zz[k, a, b] = f_k^(z_a z_b)
+    # lower[q]: the product of f^(z_i z_q) over q's pairs (i, q) with i < q.
+    lower = [None] * n
+    for k, (a, b) in enumerate(pairs):
+        lo, hi = min(a, b), max(a, b)
+        e = zz[k].reshape((2,) + (1,) * (hi - lo - 1) + (2,) + (1,) * lo + (rows,))
+        lower[hi] = e if lower[hi] is None else lower[hi] * e
+    rotations = {q: f[len(pairs) + k].reshape((2,) + (1,) * q + (rows,))
+                 for k, q in enumerate(rot)}
+
+    def doubled(rotations):
+        # Appending qubit q multiplies the phase so far by E_q = r_q * lower[q]
+        # on the bit-0 half and by its conjugate on the bit-1 half.
+        phase = 1.0
+        for q, e in enumerate(lower):
+            r = rotations.get(q)
+            if r is not None:
+                e = r if e is None else e * r
+            if e is not None:
+                phase = phase * e
+        return phase
+
+    last = doubled(rotations if axis == "Z" else {})
+    inner = doubled(rotations) if axis == "X" and template.depth > 1 else last
+    return f[len(pairs):], inner, last
+
+
+def _rotate_y(states: np.ndarray, q: int, c: np.ndarray, s: np.ndarray,
+              buffers: np.ndarray) -> None:
+    # RY is real, so it mixes the real and imaginary parts alike, in place:
+    # zero, one <- c*zero - s*one, s*zero + c*one, through two preallocated buffers.
     psi = states.view(float).reshape(-1, 2, 1 << q, 2 * states.shape[1])
-    c, s = np.repeat(np.cos(0.5 * angles), 2), np.repeat(np.sin(0.5 * angles), 2)
     zero, one = psi[:, 0], psi[:, 1]
-    zero[...], one[...] = c * zero - s * one, s * zero + c * one
+    a, b = buffers[0].reshape(zero.shape), buffers[1].reshape(zero.shape)
+    np.multiply(c, zero, out=a)
+    np.multiply(s, zero, out=b)
+    np.multiply(s, one, out=zero)
+    np.subtract(a, zero, out=zero)
+    np.multiply(c, one, out=one)
+    np.add(b, one, out=one)
 
 
 def prepare_states(template: FeatureMapTemplate, X) -> np.ndarray:
@@ -76,26 +140,26 @@ def prepare_states(template: FeatureMapTemplate, X) -> np.ndarray:
     if not 1 <= n <= MAX_QUBITS:
         raise ConfigError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n}")
     X = _as_data_matrix(X, n, "X").T
-    rot = np.flatnonzero(template.rotation_enabled)
-    if rot.size and axis not in ("X", "Y", "Z"):
+    rot = [q for q, on in enumerate(template.rotation_enabled) if on]
+    if rot and axis not in ("X", "Y", "Z"):
         raise ConfigError(f"rotation axis must be 'X', 'Y' or 'Z', got {axis!r}")
-    # Rows of X are columns here; z[b, q] is the eigenvalue of Z_q on basis index b.
-    z = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
-    i, j = np.array(template.entangle_pairs, dtype=int).reshape(-1, 2).T
-    zz = (z[:, i] * z[:, j]) @ (X[i] * X[j])
-    rz = z[:, rot] @ X[rot] if axis != "Y" else 0.0
-    last = _phase(zz + rz if axis == "Z" else zz)
-    inner = _phase(zz + rz) if axis == "X" and template.depth > 1 else last
+    rot_f, inner, last = _layer_phases(template, X)
+    shape = (2,) * n + (X.shape[1],)
     states = np.full((1 << n, X.shape[1]), 2.0 ** (-n / 2), dtype=complex)  # H|0...0>
     if axis == "X":
-        states *= _phase(X[rot].sum(axis=0))
+        states *= np.prod(rot_f[:, 0], axis=0)
+    if axis == "Y":
+        # cos and sin of each half angle, repeated for the real and imaginary parts.
+        c = np.repeat(rot_f[:, 0].real, 2, axis=1)
+        s = np.repeat(rot_f[:, 1].imag, 2, axis=1)
+        buffers = np.empty((2, states.size))
     for layer in range(template.depth):
         if layer:
             states = _hadamard_all(states, n)
         if axis == "Y":
-            for q in rot:
-                _rotate_y(states, q, X[q])
-        states *= inner if layer + 1 < template.depth else last
+            for k, q in enumerate(rot):
+                _rotate_y(states, q, c[k], s[k], buffers)
+        states.reshape(shape)[...] *= inner if layer + 1 < template.depth else last
     return states.T
 
 

@@ -112,7 +112,10 @@ def ks_statistic(a, b) -> float:
 
 
 def _intra_distances(points: np.ndarray) -> np.ndarray:
-    return _cross_distances(points, points)[np.triu_indices(points.shape[0], k=1)]
+    # A boolean mask gathers the strict upper triangle in the same row-major
+    # order as np.triu_indices, at a fraction of the cost.
+    n = points.shape[0]
+    return _cross_distances(points, points)[np.triu(np.ones((n, n), dtype=bool), k=1)]
 
 
 def dsi_two_class(x_points, y_points) -> float:

@@ -141,8 +141,10 @@ def _check_gram(gram: np.ndarray) -> np.ndarray:
     K = np.asarray(gram, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"gram matrix must be square, got shape {K.shape}")
-    # Exact equality first: quantum Grams are symmetric by construction, and
-    # NaN (never equal) still falls through to allclose, which rejects it.
+    # allclose calls inf close to inf, so a non-finite entry is caught first.
+    if not np.isfinite(K).all():
+        raise ValueError("gram matrix must be finite")
+    # Exact equality first: quantum Grams are symmetric by construction.
     if not np.array_equal(K, K.T) and not np.allclose(K, K.T, atol=1e-8):
         raise ValueError("gram matrix must be symmetric")
     return K

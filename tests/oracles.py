@@ -5,8 +5,9 @@ full 2^n x 2^n unitary products instead of in-place gate application,
 naive front peeling instead of Deb's bookkeeping, a per-value loop over
 the unique objective values instead of sorted-array crowding, random
 feasible duals instead of SMO, per-value counting instead of the merged
-KS sweep, whole-array masks instead of the solver's scalar SMO loop.
-Slow and simple on purpose.
+KS sweep, whole-array masks instead of the solver's scalar SMO loop,
+one cos/sin of each amplitude's summed angle instead of per-term phase
+factors.  Slow and simple on purpose.
 """
 import numpy as np
 
@@ -81,6 +82,31 @@ def random_circuit(rng: np.random.Generator, n: int, n_gates: int):
             c, t = rng.choice(n, size=2, replace=False)
             ops.append(CNot(int(c), int(t)))
     return ops
+
+
+def phase_by_angle_sum(template, X) -> tuple[np.ndarray, np.ndarray]:
+    """The layer phases (inner, last) of ``kernel._layer_phases``, shape
+    (2**n, rows), as exp(-i/2 angle) of each amplitude's summed angle
+
+        sum over pairs z_i z_j x_i x_j  (+ sum over rotated qubits z_q x_q),
+
+    where z_q = +1/-1 is qubit q's Z eigenvalue on the basis index.  The
+    rotations enter ``last`` on the Z axis and ``inner`` on the X axis when
+    the depth exceeds 1; otherwise ``inner`` is ``last``."""
+    n, axis = template.n_qubits, template.rotation_axis
+    X = np.asarray(X, dtype=float).T
+    z = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    i, j = np.array(template.entangle_pairs, dtype=int).reshape(-1, 2).T
+    rot = np.flatnonzero(template.rotation_enabled)
+    zz = (z[:, i] * z[:, j]) @ (X[i] * X[j])
+    rz = z[:, rot] @ X[rot]
+
+    def phase(angles):
+        return np.cos(0.5 * angles) + 1j * np.sin(-0.5 * angles)
+
+    last = phase(zz + rz if axis == "Z" else zz)
+    inner = phase(zz + rz) if axis == "X" and template.depth > 1 else last
+    return inner, last
 
 
 def peel_fronts(objectives) -> list[list[int]]:
@@ -158,7 +184,9 @@ def smo_by_masks(K: np.ndarray, y: np.ndarray, C: float, tol: float,
     """Maximal-violating-pair SMO with the index sets as boolean masks and
     whole-array numpy updates: the same pair rule, step, bound snap and
     float operations as ``svm._solve``, so the alphas must match bit for
-    bit.  Returns the alphas and the number of pair updates made."""
+    bit on a finite Gram (an infinite entry makes ``_solve``'s additive
+    masks NaN where ``np.where`` gives -inf; ``train_dual`` rejects such a
+    Gram).  Returns the alphas and the number of pair updates made."""
     alpha = np.zeros(y.size)
     v = y.copy()
     pos = y > 0

@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 
 from qkevo.errors import ConfigError
-from qkevo.featuremap import FeatureMapTemplate, Genome, bind, decode, genome_length
-from qkevo.kernel import (classical_kernel, prepare_states, quantum_cross,
-                          quantum_gram)
+from qkevo.featuremap import (FeatureMapTemplate, Genome, bind, decode, genome_length,
+                              qubit_pairs)
+from qkevo.kernel import (_layer_phases, classical_kernel, prepare_states,
+                          quantum_cross, quantum_gram)
 from qkevo.simulator import MAX_QUBITS, fidelity_overlap, prepare_state
 
-from oracles import statevector_by_matrix
+from oracles import phase_by_angle_sum, statevector_by_matrix
 
 
 def random_template(rng, n):
@@ -64,6 +65,64 @@ def test_prepare_states_matches_simulator_at_width(n):
         for r in range(X.shape[0]):
             np.testing.assert_allclose(batch[r], prepare_state(bind(t, X[r]), n).amplitudes,
                                        atol=1e-12)
+
+
+def phase_templates(rng, n):
+    """Three random templates plus no pairs, all pairs and no rotations, on
+    every axis, at depth 2 so the X axis has a separate inner phase."""
+    for axis in "XYZ":
+        shapes = [decode(Genome(n, rng.integers(0, 2, size=genome_length(n))))
+                  for _ in range(3)]
+        shapes = [(t.rotation_enabled, t.entangle_pairs) for t in shapes]
+        shapes += [((True,) * n, ()), ((True,) * n, tuple(qubit_pairs(n))),
+                   ((False,) * n, tuple(qubit_pairs(n)))]
+        for rotations, pairs in shapes:
+            yield FeatureMapTemplate(n, rotations, axis, pairs, 2)
+
+
+def phases_in_long_double(template, X):
+    """(inner, last) as exp(-i/2 angle), with each amplitude's angle summed
+    and its cos and sin taken in np.longdouble."""
+    n, axis = template.n_qubits, template.rotation_axis
+    X = np.asarray(X, dtype=np.longdouble).T
+    z = (1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)).astype(np.longdouble)
+    zz = np.zeros((1 << n, X.shape[1]), dtype=np.longdouble)
+    for i, j in template.entangle_pairs:
+        zz += np.outer(z[:, i] * z[:, j], X[i] * X[j])
+    rz = np.zeros_like(zz)
+    for q in np.flatnonzero(template.rotation_enabled):
+        rz += np.outer(z[:, q], X[q])
+
+    def phase(angles):
+        return np.cos(angles / 2), -np.sin(angles / 2)
+
+    rotated, plain = phase(zz + rz), phase(zz)
+    return (plain if axis == "Y" else rotated), (rotated if axis == "Z" else plain)
+
+
+def phase_error(got, want) -> float:
+    return float(np.max(np.hypot((got.real - want[0]).astype(float),
+                                 (got.imag - want[1]).astype(float))))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_layer_phases_match_long_double(n):
+    # The product of per-term factors is exact maths, and rounds less than
+    # one cos/sin of the summed angle: over the templates, the builder's
+    # worst error is small and no larger than the angle-sum oracle's.
+    rng = np.random.default_rng(70 + n)
+    X = rng.uniform(-np.pi, np.pi, size=(4, n))
+    worst, worst_oracle = 0.0, 0.0
+    for t in phase_templates(rng, n):
+        _, *phases = _layer_phases(t, X.T)
+        got = [np.broadcast_to(p, (2,) * n + (4,)).reshape(1 << n, 4) for p in phases]
+        want = phases_in_long_double(t, X)
+        oracle = phase_by_angle_sum(t, X)
+        for g, o, w in zip(got, oracle, want):
+            worst = max(worst, phase_error(g, w))
+            worst_oracle = max(worst_oracle, phase_error(o, w))
+    assert worst <= 1e-13
+    assert worst <= worst_oracle
 
 
 def test_gram_identical_rows():

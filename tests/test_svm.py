@@ -211,6 +211,18 @@ def test_shape_validation():
         accuracy(np.array([1, -1]), np.array([1]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_gram_raises(bad):
+    # allclose(inf, inf) is true, so symmetry alone would let this Gram
+    # through to 100 000 SMO steps that return all-zero alphas.
+    gram = np.array([[bad, 0.5, 0.2], [0.5, 1.0, 0.1], [0.2, 0.1, 1.0]])
+    y = np.array([1.0, -1.0, -1.0])
+    with pytest.raises(ValueError, match="finite"):
+        train_dual(gram, y)
+    with pytest.raises(ValueError, match="finite"):
+        train_multiclass(gram, y)
+
+
 def test_all_ones_gram_predicts_majority():
     # Constant kernel: decision collapses to the bias, whose KKT interval
     # midpoint lands on the majority class.

@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (Dataset, SplitSpec, load_csv, make_split, minmax_scale,
-                   sample_feature_combos, subset_features)
-from .errors import ConfigError, DataError, EvaluationError, TrainingError
+from .data import (Dataset, SplitSpec, check_scorable, load_csv, make_split,
+                   minmax_scale, sample_feature_combos, subset_features)
+from .errors import ConfigError, DataError, TrainingError
 from .featuremap import Genome, decode, gate_counts
 from .kernel import CLASSICAL_KINDS, classical_kernel, quantum_gram
 from .nsga2 import (SENSE, EarlyStop, EvolveConfig, EvolveResult, evolve,
@@ -142,20 +142,41 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: str | None) -> dict:
+class _Section(dict):
+    """One JSON object of the config file that records the keys read from
+    it and the sections taken from it, so a key nothing reads is refused."""
+
+    def __init__(self, value, name: str = ""):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config {name or 'root'} must be an object, got {value!r}")
+        super().__init__(value)
+        self.prefix = f"{name}." if name else ""
+        self.read: set[str] = set()
+        self.sections: list[_Section] = []
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def section(self, key: str) -> _Section:
+        self.sections.append(_Section(self.get(key, {}), self.prefix + key))
+        return self.sections[-1]
+
+    def unread(self) -> list[str]:
+        """Dotted names of the keys never read, here and in every section."""
+        return [self.prefix + key for key in sorted(self.keys() - self.read)] + [
+            key for child in self.sections for key in child.unread()]
+
+
+def _load_config_file(path: str | None) -> _Section:
     if not path:
-        return {}
+        return _Section({})
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return _Section(json.loads(Path(path).read_text(encoding="utf-8")))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config root must be an object: {path}")
-    return cfg
 
 
 def _parse_feature_list(text: str) -> list[int]:
@@ -165,13 +186,13 @@ def _parse_feature_list(text: str) -> list[int]:
         raise ConfigError(f"bad --features value {text!r}: {exc}") from exc
 
 
-def _pick(args, name: str, cfg: dict, key: str, default):
+def _pick(args, name: str, cfg: _Section, key: str, default):
     """Flag ``name`` if given, else the config file's ``key``, else
-    ``default``; a flag the subcommand does not have counts as not given."""
+    ``default``; a flag the subcommand does not have counts as not given.
+    The key is read either way, so a flag does not make it unknown."""
+    value = cfg.get(key, default)
     flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    return cfg.get(key, default)
+    return value if flag is None else flag
 
 
 def _integer(value, key: str) -> int | None:
@@ -182,17 +203,22 @@ def _integer(value, key: str) -> int | None:
     return None if value is None else int(value)
 
 
-def _pick_int(args, name: str, cfg: dict, key: str, default) -> int | None:
+def _pick_int(args, name: str, cfg: _Section, key: str, default) -> int | None:
     return _integer(_pick(args, name, cfg, key, default), key)
+
+
+# The sections only the training commands read; ``separability`` skips them.
+_RUN_SECTIONS = ("split", "scaling", "svm", "evolve")
 
 
 def _resolve(args, training: bool) -> RunConfig:
     """Run settings from flags, the config file and defaults.  The split,
     scaling, SVM and GA sections are read, and so validated, only when
-    ``training``: ``separability`` uses none of them."""
+    ``training``: ``separability`` uses none of them.  A key nothing reads
+    is refused, so a misspelt key cannot fall back to its default."""
     cfg = _load_config_file(args.config)
-    ds_cfg = cfg.get("dataset", {})
-    feat_cfg = cfg.get("features", {})
+    ds_cfg = cfg.section("dataset")
+    feat_cfg = cfg.section("features")
 
     dataset_path = _pick(args, "dataset", ds_cfg, "path", None)
     if not dataset_path:
@@ -204,10 +230,13 @@ def _resolve(args, training: bool) -> RunConfig:
         label_column = int(label_column)
 
     features = None
+    listed = feat_cfg.get("list")
+    if listed is not None and not isinstance(listed, list):
+        raise ConfigError(f"features.list must be a list, got {listed!r}")
     if args.features is not None:
         features = _parse_feature_list(args.features)
-    elif "list" in feat_cfg:
-        features = [_integer(i, "list") for i in feat_cfg["list"]]
+    elif listed is not None:
+        features = [_integer(i, "list") for i in listed]
     combo_count = _pick_int(args, "combos", feat_cfg, "combos", None)
     if features is not None and combo_count is not None:
         raise ConfigError("choose either explicit --features or --combos, not both")
@@ -225,12 +254,13 @@ def _resolve(args, training: bool) -> RunConfig:
     if combo_count is None and features is None:
         features = list(range(n_qubits))
 
-    # Only the commands that compute separability indexes take --hmi-mode.
-    hmi_mode = None
-    if hasattr(args, "hmi_mode"):
-        hmi_mode = _pick(args, "hmi_mode", cfg, "hmi_mode", "sum")
-        if hmi_mode not in HMI_MODES:
-            raise ConfigError(f"hmi_mode must be one of {HMI_MODES}, got {hmi_mode!r}")
+    # kernels computes no indexes: it reads hmi_mode, so the key is known,
+    # and ignores it.
+    hmi_mode = _pick(args, "hmi_mode", cfg, "hmi_mode", "sum")
+    if not hasattr(args, "hmi_mode"):
+        hmi_mode = None
+    elif hmi_mode not in HMI_MODES:
+        raise ConfigError(f"hmi_mode must be one of {HMI_MODES}, got {hmi_mode!r}")
     run = RunConfig(
         dataset_path=str(dataset_path),
         label_column=label_column,
@@ -242,20 +272,26 @@ def _resolve(args, training: bool) -> RunConfig:
         hmi_mode=hmi_mode,
         out_dir=str(_pick(args, "out", cfg, "out", "runs")),
     )
-    if not training:
-        return run
+    if training:
+        _resolve_training(args, cfg, run)
+    else:
+        cfg.read.update(_RUN_SECTIONS)
+    unread = cfg.unread()
+    if unread:
+        raise ConfigError(f"unknown config key(s): {', '.join(unread)}")
+    return run
 
-    split_cfg = cfg.get("split", {})
-    scale_cfg = cfg.get("scaling", {})
-    svm_cfg = cfg.get("svm", {})
-    ga_cfg = cfg.get("evolve", {})
-    early = ga_cfg.get("early_stop", {})
+
+def _resolve_training(args, cfg: _Section, run: RunConfig) -> None:
+    """Fill in ``run``'s split, scaling, SVM and GA settings."""
+    split_cfg, scale_cfg, svm_cfg, ga_cfg = map(cfg.section, _RUN_SECTIONS)
+    early = ga_cfg.section("early_stop")
     target_acc = _pick(args, "target_accuracy", early, "target_accuracy",
                        EarlyStop.target_accuracy)
     stagnation = _pick_int(args, "stagnation", early, "stagnation_generations",
                            EarlyStop.stagnation_generations)
     run.evolve = EvolveConfig(
-        n_qubits=n_qubits,
+        n_qubits=run.n_qubits,
         population_size=_pick_int(args, "population", ga_cfg, "population_size",
                                   EvolveConfig.population_size),
         generations=_pick_int(args, "generations", ga_cfg, "generations",
@@ -289,7 +325,6 @@ def _resolve(args, training: bool) -> RunConfig:
     )
     run.scale = (float(_pick(args, "scale_lo", scale_cfg, "lo", 0.0)),
                  float(_pick(args, "scale_hi", scale_cfg, "hi", DEFAULT_SCALE_HI)))
-    return run
 
 
 def _feature_combos(run: RunConfig, dataset: Dataset) -> list[tuple[int, ...]]:
@@ -300,12 +335,11 @@ def _feature_combos(run: RunConfig, dataset: Dataset) -> list[tuple[int, ...]]:
 
 
 def _prepared_split(run: RunConfig, dataset: Dataset, combo):
-    """Feature subset and its scaled split; a split without test rows has
-    nothing to score, so it fails before any output is written."""
+    """Feature subset and its scaled split; a split that cannot be scored
+    fails here, before any output is written."""
     sub = subset_features(dataset, combo)
     tts = make_split(minmax_scale(sub, *run.scale), run.split)
-    if tts.y_test.size == 0:
-        raise ConfigError("the split has no test rows to score accuracy on")
+    check_scorable(tts)
     return sub, tts
 
 
@@ -506,7 +540,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingError, EvaluationError, OSError, ValueError) as exc:
+    except (TrainingError, OSError, ValueError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 @dataclass
@@ -178,6 +178,15 @@ def make_split(dataset: Dataset, spec: SplitSpec) -> TrainTestSplit:
     train_idx, test_idx = split(dataset, spec)
     return TrainTestSplit(X_train=dataset.X[train_idx], y_train=dataset.y[train_idx],
                           X_test=dataset.X[test_idx], y_test=dataset.y[test_idx])
+
+
+def check_scorable(tts: TrainTestSplit) -> None:
+    """Refuse a split no classifier can be scored on: it needs test rows
+    and at least two training classes."""
+    if tts.y_test.size == 0:
+        raise ConfigError("the split has no test rows to score accuracy on")
+    if np.unique(tts.y_train).size < 2:
+        raise ConfigError("the split's training rows hold a single class")
 
 
 def sample_feature_combos(n_total: int, k: int, count: int,

@@ -15,8 +15,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import TrainTestSplit
-from .errors import ConfigError, EvaluationError, TrainingError
+from .data import TrainTestSplit, check_scorable
+from .errors import ConfigError, EvaluationError
 from .featuremap import Genome, decode, gate_counts, genome_length
 from .kernel import quantum_cross, quantum_gram
 from .svm import TrainConfig, fit_score
@@ -154,20 +154,16 @@ def crowding_distance(objectives) -> np.ndarray:
 def svm_evaluator(split: TrainTestSplit,
                   svm_config: TrainConfig | None = None) -> Callable[[Genome], Objectives]:
     """Fitness function: decode, build quantum kernels, score with
-    :func:`qkevo.svm.fit_score`.  A split without test rows has nothing to
-    score, so it is a configuration error."""
-    if split.y_test.size == 0:
-        raise ConfigError("the split has no test rows to score fitness on")
+    :func:`qkevo.svm.fit_score`.  A split that cannot be scored is refused
+    here, by :func:`qkevo.data.check_scorable`, before any genome is."""
+    check_scorable(split)
 
     def evaluate(genome: Genome) -> Objectives:
         template = decode(genome)
         counts = gate_counts(template)
         gram = quantum_gram(template, split.X_train)
         cross = quantum_cross(template, split.X_test, split.X_train)
-        try:
-            acc = fit_score(gram, cross, split.y_train, split.y_test, svm_config)
-        except TrainingError as exc:
-            raise EvaluationError(str(exc)) from exc
+        acc = fit_score(gram, cross, split.y_train, split.y_test, svm_config)
         return Objectives(acc, counts.local, counts.cnot)
 
     return evaluate

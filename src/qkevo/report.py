@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .featuremap import Genome, decode, gate_counts, genome_length
+from .featuremap import Genome, decode, gate_counts
 
 
 def average_ranks(values) -> np.ndarray:
@@ -80,29 +80,28 @@ def _read_separability_row(path: Path) -> tuple[float, float, float]:
 
 
 def load_run(run_dir) -> RunRecord:
-    """Read one run directory; raises DataError when anything is missing
-    or inconsistent."""
+    """Read one finished run directory; raises DataError when anything is
+    missing or inconsistent.  ``evolve`` writes ``manifest.json`` last, so
+    a directory without one holds an unfinished run."""
     run_dir = Path(run_dir)
     pareto_path = run_dir / "pareto.json"
+    manifest_path = run_dir / "manifest.json"
     sep_path = run_dir / "separability.csv"
-    if not pareto_path.is_file():
-        raise DataError(f"{run_dir}: missing pareto.json")
-    if not sep_path.is_file():
-        raise DataError(f"{run_dir}: missing separability.csv")
+    for path in (pareto_path, manifest_path, sep_path):
+        if not path.is_file():
+            raise DataError(f"{run_dir}: missing {path.name}")
     try:
         records = json.loads(pareto_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{pareto_path}: invalid JSON: {exc}") from exc
-    if not isinstance(records, list) or not records:
-        raise DataError(f"{pareto_path}: expected a non-empty list of records")
-    best = best_pareto_record(records)
-    manifest_path = run_dir / "manifest.json"
-    n_qubits = None
-    if manifest_path.is_file():
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        n_qubits = manifest.get("n_qubits")
-    if n_qubits is None:
-        n_qubits = _qubits_from_genome_length(len(best["genome"]))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{run_dir}: invalid JSON: {exc}") from exc
+    if not (isinstance(records, list) and records
+            and all(isinstance(r, dict) for r in records)):
+        raise DataError(f"{pareto_path}: expected a non-empty list of records")
+    n_qubits = manifest.get("n_qubits") if isinstance(manifest, dict) else None
+    if type(n_qubits) is not int:  # bool is an int subclass, so no isinstance
+        raise DataError(f"{manifest_path}: expected an object with an integer n_qubits")
+    best = best_pareto_record(records)
     counts = gate_counts(decode(Genome.from_string(best["genome"], n_qubits)))
     if counts.local != best["local_gates"] or counts.cnot != best["cnot_gates"]:
         raise DataError(f"{pareto_path}: gate counts disagree with genome")
@@ -111,13 +110,6 @@ def load_run(run_dir) -> RunRecord:
                      dsi=dsi, accuracy=float(best["accuracy"]),
                      local_gates=int(best["local_gates"]),
                      cnot_gates=int(best["cnot_gates"]), genome=best["genome"])
-
-
-def _qubits_from_genome_length(length: int) -> int:
-    for n in range(1, 64):
-        if genome_length(n) == length:
-            return n
-    raise DataError(f"no qubit count yields genome length {length}")
 
 
 def scan_runs(runs_dir) -> tuple[list[RunRecord], list[str]]:

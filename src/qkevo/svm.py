@@ -229,14 +229,8 @@ def train_multiclass(gram, y, config: TrainConfig | None = None) -> MulticlassMo
     for ia, ib in combinations(range(classes.size), 2):
         rows = np.flatnonzero((y == classes[ia]) | (y == classes[ib]))
         sub_y = np.where(y[rows] == classes[ia], 1.0, -1.0)
-        try:
-            model = train_dual(K[np.ix_(rows, rows)], sub_y, config)
-        except TrainingError as exc:
-            raise TrainingError(
-                f"degenerate pair ({classes[ia]!r}, {classes[ib]!r}): {exc}"
-            ) from exc
         pairs.append((ia, ib))
-        models.append(model)
+        models.append(train_dual(K[np.ix_(rows, rows)], sub_y, config))
         pair_rows.append(rows)
     return MulticlassModel(classes=classes, pairs=pairs, models=models,
                            pair_rows=pair_rows)

@@ -146,6 +146,73 @@ def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, section
     assert not out.exists()
 
 
+def _table_args(command, out, config):
+    """``command`` on Iris features 0,1 with a config file, small enough
+    for every table command to finish at once."""
+    args = [command, "--dataset", IRIS, "--label-col", "species", "--features", "0,1",
+            "--config", str(config), "--out", str(out)]
+    if command == "separability":
+        return args
+    only = ["--classical-only"] if command == "kernels" else []
+    return [*args, "--population", "4", "--generations", "0",
+            "--train-size", "60", "--test-size", "30", *only]
+
+
+@pytest.mark.parametrize("command, cfg", [
+    pytest.param("evolve", {"split": 5}, id="evolve-split"),
+    pytest.param("evolve", {"evolve": {"early_stop": 3}}, id="evolve-early_stop"),
+    pytest.param("kernels", {"svm": [1.0]}, id="kernels-svm"),
+    pytest.param("separability", {"features": [0, 1]}, id="separability-features"),
+    pytest.param("separability", {"features": {"list": 5}}, id="separability-list"),
+    pytest.param("evolve", [1, 2], id="evolve-root")])
+def test_config_section_not_an_object_is_usage_error(tmp_path, capsys, command, cfg):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(_table_args(command, out, config)) == 1
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    pytest.param("evolve", {"evolve": {"populaton_size": 64, "generations": 0}},
+                 "evolve.populaton_size", id="evolve-in-section"),
+    pytest.param("evolve", {"evolve": {"early_stop": {"stagnation": 2}}},
+                 "evolve.early_stop.stagnation", id="evolve-nested"),
+    pytest.param("kernels", {"svm": {"c": 2.0}}, "svm.c", id="kernels-in-section"),
+    pytest.param("separability", {"dataset": {"label": "species"}}, "dataset.label",
+                 id="separability-in-section"),
+    pytest.param("evolve", {"outdir": "elsewhere"}, "outdir", id="evolve-top-level"),
+    pytest.param("separability", {"hmi": "mean"}, "hmi", id="separability-top-level")])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, command, cfg, key):
+    # Before, each of these ran on the default the misspelt key stood for.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(_table_args(command, out, config)) == 1
+    assert f"unknown config key(s): {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_config_example_runs(tmp_path):
+    # The README's config block must stay a config the resolver accepts.
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Config file"):]
+    start = section.index("```json\n") + len("```json\n")
+    block = json.loads(section[start:section.index("```", start)])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(block))
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(config), "--dataset", IRIS,
+                 "--population", "4", "--generations", "0", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["split"] == block["split"]
+    assert manifest["svm"] == block["svm"]
+    assert manifest["evolve"] == {**block["evolve"], "population_size": 4,
+                                  "generations": 0,
+                                  "n_qubits": len(block["features"]["list"])}
+
+
 def test_kernels_ignores_hmi_mode_in_config(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"hmi_mode": "median"}))
@@ -179,6 +246,25 @@ def test_evolve_without_test_rows_is_usage_error(tmp_path, command, flags):
     assert main([command, *args[1:]]) == 1
     assert not out.exists()
     assert not dump.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "kernels"])
+@pytest.mark.parametrize("split_flags", [
+    pytest.param(("--train-size", "1"), id="stratified"),
+    pytest.param(("--train-size", "2", "--no-stratify", "--split-seed", "5"),
+                 id="unstratified")])
+def test_single_class_training_split_is_usage_error(tmp_path, capsys, command,
+                                                    split_flags):
+    # Before, evolve demoted every genome and wrote a front of accuracy 0.0
+    # (exit 0), and kernels failed in the solver (exit 3).
+    out = tmp_path / "run"
+    only = ("--classical-only",) if command == "kernels" else ()
+    assert main([command, "--dataset", CANCER, "--label-col", "diagnosis",
+                 "--positive-class", "malignant", "--qubits", "2",
+                 "--population", "4", "--generations", "0", *split_flags, *only,
+                 "--out", str(out)]) == 1
+    assert "single class" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_kernels_classical_only(tmp_path):
@@ -236,7 +322,9 @@ def test_separability_rows(tmp_path):
 
 
 @pytest.mark.parametrize("section", [{"evolve": {"population_size": 3}},
-                                     {"svm": {"C": -1}}], ids=["evolve", "svm"])
+                                     {"svm": {"C": -1}},
+                                     {"split": 5, "evolve": {"populaton_size": 3}}],
+                         ids=["evolve", "svm", "malformed"])
 def test_separability_ignores_sections_it_never_reads(tmp_path, section):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(section))

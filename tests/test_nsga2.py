@@ -122,11 +122,12 @@ def test_evaluate_deterministic():
 
 
 def test_evaluate_single_class_train_raises():
+    # Refused when the evaluator is built, before any genome is scored.
     X = np.random.default_rng(0).uniform(0, np.pi, size=(8, 2))
     split = TrainTestSplit(X_train=X, y_train=np.ones(8),
                            X_test=X, y_test=np.ones(8))
-    with pytest.raises(EvaluationError):
-        evaluate_genome(Genome(2, np.zeros(7, dtype=int)), split)
+    with pytest.raises(ConfigError, match="single class"):
+        svm_evaluator(split)
 
 
 def onemax(genome):

@@ -88,12 +88,15 @@ def test_load_run_round_trip(tmp_path):
     assert rec.si == 0.5
 
 
-def test_load_run_without_manifest_infers_qubits(tmp_path):
-    _write_run(tmp_path / "run0", GENOMES_BY_CNOT[1], 2, 0.9, 0.5, 1.0, 0.4)
-    (tmp_path / "run0" / "manifest.json").unlink()
-    rec = load_run(tmp_path / "run0")
-    assert rec.n_qubits == 2
-    assert rec.cnot_gates == 4
+def test_scan_runs_skips_run_without_manifest(tmp_path):
+    # evolve writes manifest.json last, so without it the run is unfinished.
+    _write_run(tmp_path / "done", GENOMES_BY_CNOT[0], 2, 0.9, 0.5, 1.0, 0.4)
+    _write_run(tmp_path / "unfinished", GENOMES_BY_CNOT[1], 2, 0.9, 0.5, 1.0, 0.4)
+    (tmp_path / "unfinished" / "manifest.json").unlink()
+    records, warnings = scan_runs(tmp_path)
+    assert [r.name for r in records] == ["done"]
+    assert len(warnings) == 1
+    assert "unfinished" in warnings[0] and "missing manifest.json" in warnings[0]
 
 
 def test_load_run_rejects_inconsistent_counts(tmp_path):
@@ -107,9 +110,21 @@ def test_scan_runs_skips_invalid(tmp_path):
     _write_run(tmp_path / "good", GENOMES_BY_CNOT[0], 2, 0.9, 0.5, 1.0, 0.4)
     (tmp_path / "broken").mkdir()
     (tmp_path / "broken" / "pareto.json").write_text("not json", encoding="utf-8")
+    broken_files = {
+        "manifest_list": ("manifest.json", [1, 2]),
+        "manifest_without_qubits": ("manifest.json", {"features": [0, 1]}),
+        "manifest_string_qubits": ("manifest.json", {"n_qubits": "2"}),
+        "manifest_bool_qubits": ("manifest.json", {"n_qubits": True}),
+        "record_not_object": ("pareto.json", ["x"]),
+    }
+    for name, (file_name, content) in broken_files.items():
+        _write_run(tmp_path / name, GENOMES_BY_CNOT[0], 2, 0.9, 0.5, 1.0, 0.4)
+        (tmp_path / name / file_name).write_text(json.dumps(content), encoding="utf-8")
+        with pytest.raises(DataError):
+            load_run(tmp_path / name)
     records, warnings = scan_runs(tmp_path)
-    assert len(records) == 1
-    assert len(warnings) == 1
+    assert [r.name for r in records] == ["good"]
+    assert len(warnings) == 1 + len(broken_files)
 
 
 def test_correlations_monotone_decreasing(tmp_path):

@@ -23,8 +23,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,26 +40,78 @@ from .report import best_pareto_record, correlation_rows, gate_means, scan_runs
 from .separability import HMI_MODES, compute_indexes
 from .svm import TrainConfig, fit_score
 
-DEFAULT_SCALE_HI = math.pi
 SEPARABILITY_HEADER = ["dataset", "features", "n_instances", "si", "hmi", "dsi"]
 
 
-@dataclass
-class RunConfig:
-    dataset_path: str
-    label_column: str | int
-    positive_class: str | None
-    features: list[int] | None  # explicit feature list ...
-    combo_count: int | None     # ... or sampled combos of size n_qubits
-    combo_seed: int
-    n_qubits: int
-    hmi_mode: str | None  # None for ``kernels``, which computes no indexes
-    out_dir: str
-    # Resolved only for the commands that split, scale, evolve and train.
-    split: SplitSpec | None = None
-    scale: tuple[float, float] | None = None  # (lo, hi) of the feature-angle range
-    svm: TrainConfig | None = None
-    evolve: EvolveConfig | None = None
+class _Setting(NamedTuple):
+    """One setting of the table commands: its dotted config-file key, JSON
+    type, default and flag (None for a key only the config file sets)."""
+    key: str
+    kind: type | tuple
+    default: object
+    flag: str | None = None
+    help: str | None = None
+    choices: tuple | None = None
+
+
+# The JSON type of each setting kind, as error messages name it.
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", (str, int): "a string or an integer",
+               list: "a list of integers"}
+
+_DATA_SETTINGS = (
+    _Setting("dataset.path", str, None, "--dataset", "CSV dataset path"),
+    _Setting("dataset.label_column", (str, int), None, "--label-col",
+             "label column name (or integer index)"),
+    _Setting("dataset.positive_class", str, None, "--positive-class",
+             "class coded +1 for binary runs"),
+    _Setting("features.k", int, None, "--qubits", "number of qubits = features used"),
+    _Setting("features.list", list, None, "--features",
+             "explicit feature indices, e.g. 0,2,5"),
+    _Setting("features.combos", int, None, "--combos",
+             "sample this many random feature combinations instead"),
+    _Setting("features.seed", int, 0, "--combo-seed", "seed for combo sampling"),
+    _Setting("out", str, "runs", "--out", "output directory"),
+)
+_HMI_MODE = _Setting("hmi_mode", str, "sum", "--hmi-mode",
+                     "aggregation of the hypothesis margins", HMI_MODES)
+_RUN_SETTINGS = (
+    _Setting("split.n_train", int, 100, "--train-size", "training rows"),
+    _Setting("split.n_test", int, 50, "--test-size", "test rows"),
+    _Setting("split.seed", int, SplitSpec.seed, "--split-seed",
+             "train/test split seed"),
+    _Setting("split.stratified", bool, SplitSpec.stratified, "--no-stratify",
+             "disable stratified splitting"),
+    _Setting("scaling.lo", float, 0.0, "--scale-lo", "feature scaling lower bound"),
+    _Setting("scaling.hi", float, math.pi, "--scale-hi", "feature scaling upper bound"),
+    _Setting("svm.C", float, TrainConfig.C, "--svm-c", "SVM box constraint C"),
+    _Setting("svm.tolerance", float, TrainConfig.tolerance),
+    _Setting("svm.max_iterations", int, TrainConfig.max_iterations),
+    _Setting("evolve.population_size", int, EvolveConfig.population_size,
+             "--population", "GA population size"),
+    _Setting("evolve.generations", int, EvolveConfig.generations, "--generations",
+             "GA generations"),
+    _Setting("evolve.crossover_prob", float, EvolveConfig.crossover_prob,
+             "--crossover-prob", "GA crossover probability"),
+    _Setting("evolve.mutation_prob", float, EvolveConfig.mutation_prob,
+             "--mutation-prob",
+             "GA per-bit mutation probability (default 1 / genome length)"),
+    _Setting("evolve.tournament_size", int, EvolveConfig.tournament_size,
+             "--tournament-size", "GA tournament size"),
+    _Setting("evolve.seed", int, EvolveConfig.seed, "--seed", "evolution seed"),
+    _Setting("evolve.early_stop.target_accuracy", float, EarlyStop.target_accuracy,
+             "--target-accuracy", "early stop once best accuracy reaches this"),
+    _Setting("evolve.early_stop.stagnation_generations", int,
+             EarlyStop.stagnation_generations, "--stagnation",
+             "early stop after this many stagnant generations"),
+)
+# The settings each table command reads.  A top-level config section that
+# another command reads and this one does not is ignored, whatever it holds.
+_COMMAND_SETTINGS = {
+    "evolve": _DATA_SETTINGS + _RUN_SETTINGS + (_HMI_MODE,),
+    "kernels": _DATA_SETTINGS + _RUN_SETTINGS,
+    "separability": _DATA_SETTINGS + (_HMI_MODE,),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,41 +121,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_data_flags(sub: argparse.ArgumentParser) -> None:
-    """Flags of every table command: config, data, feature choice, output."""
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--dataset", help="CSV dataset path")
-    sub.add_argument("--label-col", help="label column name (or integer index)")
-    sub.add_argument("--positive-class", help="class coded +1 for binary runs")
-    sub.add_argument("--qubits", type=int, help="number of qubits = features used")
-    sub.add_argument("--features", help="explicit feature indices, e.g. 0,2,5")
-    sub.add_argument("--combos", type=int,
-                     help="sample this many random feature combinations instead")
-    sub.add_argument("--combo-seed", type=int, help="seed for combo sampling")
-    sub.add_argument("--out", help="output directory")
+def _feature_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad feature list {text!r}") from exc
 
 
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    """Flags of the commands that split, scale, evolve and train."""
-    sub.add_argument("--seed", type=int, help="evolution seed")
-    sub.add_argument("--split-seed", type=int, help="train/test split seed")
-    sub.add_argument("--train-size", type=int, help="training rows (default 100)")
-    sub.add_argument("--test-size", type=int, help="test rows (default 50)")
-    sub.add_argument("--no-stratify", action="store_true",
-                     help="disable stratified splitting")
-    sub.add_argument("--scale-lo", type=float, help="feature scaling lower bound")
-    sub.add_argument("--scale-hi", type=float,
-                     help="feature scaling upper bound (default pi)")
-    sub.add_argument("--population", type=int, help="GA population size")
-    sub.add_argument("--generations", type=int, help="GA generations")
-    sub.add_argument("--crossover-prob", type=float)
-    sub.add_argument("--mutation-prob", type=float)
-    sub.add_argument("--tournament-size", type=int)
-    sub.add_argument("--target-accuracy", type=float,
-                     help="early stop once best accuracy reaches this")
-    sub.add_argument("--stagnation", type=int,
-                     help="early stop after this many stagnant generations")
-    sub.add_argument("--svm-c", type=float, help="SVM box constraint C")
+# The parser of a flag's text, for the kinds that cannot parse it themselves.
+_FLAG_TYPES = {list: _feature_list, (str, int): str}
 
 
 def _build_parser() -> _Parser:
@@ -110,25 +137,28 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command")
 
-    p_evolve = subs.add_parser("evolve", help="evolve feature maps")
-    _add_data_flags(p_evolve)
-    _add_run_flags(p_evolve)
-    p_evolve.add_argument("--hmi-mode", choices=HMI_MODES)
-    p_evolve.set_defaults(func=cmd_evolve)
-
-    p_kernels = subs.add_parser("kernels", help="classical vs quantum accuracy table")
-    _add_data_flags(p_kernels)
-    _add_run_flags(p_kernels)
-    p_kernels.add_argument("--classical-only", action="store_true",
-                           help="skip the evolved quantum column")
-    p_kernels.add_argument("--dump-grams", metavar="DIR",
-                           help="dump every training Gram matrix as CSV here")
-    p_kernels.set_defaults(func=cmd_kernels)
-
-    p_sep = subs.add_parser("separability", help="SI/HMI/DSI table")
-    _add_data_flags(p_sep)
-    p_sep.add_argument("--hmi-mode", choices=HMI_MODES)
-    p_sep.set_defaults(func=cmd_separability)
+    tables = {}
+    for name, help_text, func in (
+            ("evolve", "evolve feature maps", cmd_evolve),
+            ("kernels", "classical vs quantum accuracy table", cmd_kernels),
+            ("separability", "SI/HMI/DSI table", cmd_separability)):
+        tables[name] = sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="JSON config file; flags override it")
+        # Each flag stores under its config key, None when not given; a
+        # true/false setting's flag sets the opposite of its default.
+        for s in _COMMAND_SETTINGS[name]:
+            if s.flag and s.kind is bool:
+                sub.add_argument(s.flag, dest=s.key, action="store_const",
+                                 const=not s.default, help=s.help)
+            elif s.flag:
+                shown = "" if s.default is None else f" (default {s.default})"
+                sub.add_argument(s.flag, dest=s.key, help=s.help + shown,
+                                 type=_FLAG_TYPES.get(s.kind, s.kind), choices=s.choices)
+        sub.set_defaults(func=func)
+    tables["kernels"].add_argument("--classical-only", action="store_true",
+                                   help="skip the evolved quantum column")
+    tables["kernels"].add_argument("--dump-grams", metavar="DIR",
+                                   help="dump every training Gram matrix as CSV here")
 
     p_decode = subs.add_parser("decode", help="print the circuit for a genome")
     p_decode.add_argument("genome", help="bit string of '0'/'1'")
@@ -142,203 +172,132 @@ def _build_parser() -> _Parser:
     return parser
 
 
-class _Section(dict):
-    """One JSON object of the config file that records the keys read from
-    it and the sections taken from it, so a key nothing reads is refused."""
-
-    def __init__(self, value, name: str = ""):
-        if not isinstance(value, dict):
-            raise ConfigError(f"config {name or 'root'} must be an object, got {value!r}")
-        super().__init__(value)
-        self.prefix = f"{name}." if name else ""
-        self.read: set[str] = set()
-        self.sections: list[_Section] = []
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def section(self, key: str) -> _Section:
-        self.sections.append(_Section(self.get(key, {}), self.prefix + key))
-        return self.sections[-1]
-
-    def unread(self) -> list[str]:
-        """Dotted names of the keys never read, here and in every section."""
-        return [self.prefix + key for key in sorted(self.keys() - self.read)] + [
-            key for child in self.sections for key in child.unread()]
-
-
-def _load_config_file(path: str | None) -> _Section:
+def _config_file_values(path: str | None, settings: tuple[_Setting, ...]) -> dict:
+    """The config file's values by dotted key.  Every section must be a JSON
+    object, and a key no setting of ``settings`` names is refused, so a
+    misspelt key cannot fall back to its default."""
     if not path:
-        return _Section({})
+        return {}
     try:
-        return _Section(json.loads(Path(path).read_text(encoding="utf-8")))
+        pending = [((), json.loads(Path(path).read_text(encoding="utf-8")))]
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    keys = {tuple(s.key.split(".")): s.key for s in settings}
+    sections = {key[:i] for key in keys for i in range(1, len(key))}
+    ignored = {s.key.split(".")[0] for table in _COMMAND_SETTINGS.values()
+               for s in table} - {key[0] for key in keys}
+    found, unknown = {}, []
+    while pending:
+        where, section = pending.pop()
+        if not isinstance(section, dict):
+            raise ConfigError(f"config {'.'.join(where) or 'root'} must be an object, "
+                              f"got {section!r}")
+        for name, value in section.items():
+            key = (*where, name)
+            if key in sections:
+                pending.append((key, value))
+            elif key in keys:
+                found[keys[key]] = value
+            elif where or name not in ignored:
+                unknown.append(".".join(key))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    return found
 
 
-def _parse_feature_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad --features value {text!r}: {exc}") from exc
+def _typed(s: _Setting, value):
+    """``value`` as ``s``'s JSON type.  An int is accepted where a float is
+    read and a float with no fractional part where an int is; a bool is
+    never a number, and null is accepted only where the default is None."""
+    if value is None and s.default is None:
+        return None
+    if s.kind is list and isinstance(value, list):
+        return [_typed(_Setting(f"{s.key}[{i}]", int, 0), item)
+                for i, item in enumerate(value)]
+    if isinstance(value, bool) == (s.kind is bool) and (
+            s.choices is None or value in s.choices):
+        if s.kind is float and isinstance(value, int):
+            return float(value)
+        if s.kind is int and isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, s.kind):
+            return value
+    expected = f"one of {s.choices}" if s.choices else _KIND_NAMES[s.kind]
+    raise ConfigError(f"{s.key} must be {expected}, got {value!r}")
 
 
-def _pick(args, name: str, cfg: _Section, key: str, default):
-    """Flag ``name`` if given, else the config file's ``key``, else
-    ``default``; a flag the subcommand does not have counts as not given.
-    The key is read either way, so a flag does not make it unknown."""
-    value = cfg.get(key, default)
-    flag = getattr(args, name, None)
-    return value if flag is None else flag
+def _section(values: dict, name: str) -> dict:
+    """The values directly under section ``name``, keyed by their field."""
+    return {key.rpartition(".")[2]: value for key, value in values.items()
+            if key.rpartition(".")[0] == name}
 
 
-def _integer(value, key: str) -> int | None:
-    """``value`` as an int, None kept; a number with a fractional part is
-    refused rather than truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return None if value is None else int(value)
+def _resolve(args) -> dict:
+    """The command's settings by config key, each from its flag, else the
+    config file, else its default.  Every file value is type-checked, even
+    where a flag wins.  A command that trains also gets its library configs
+    under the section names ``split``, ``scaling``, ``svm`` and ``evolve``."""
+    settings = _COMMAND_SETTINGS[args.command]
+    in_file = _config_file_values(args.config, settings)
+    run = {}
+    for s in settings:
+        value = _typed(s, in_file.get(s.key, s.default))
+        flag = getattr(args, s.key, None)
+        run[s.key] = value if flag is None else flag
 
-
-def _pick_int(args, name: str, cfg: _Section, key: str, default) -> int | None:
-    return _integer(_pick(args, name, cfg, key, default), key)
-
-
-# The sections only the training commands read; ``separability`` skips them.
-_RUN_SECTIONS = ("split", "scaling", "svm", "evolve")
-
-
-def _resolve(args, training: bool) -> RunConfig:
-    """Run settings from flags, the config file and defaults.  The split,
-    scaling, SVM and GA sections are read, and so validated, only when
-    ``training``: ``separability`` uses none of them.  A key nothing reads
-    is refused, so a misspelt key cannot fall back to its default."""
-    cfg = _load_config_file(args.config)
-    ds_cfg = cfg.section("dataset")
-    feat_cfg = cfg.section("features")
-
-    dataset_path = _pick(args, "dataset", ds_cfg, "path", None)
-    if not dataset_path:
+    if not run["dataset.path"]:
         raise ConfigError("a dataset path is required (--dataset or config)")
-    label_column = _pick(args, "label_col", ds_cfg, "label_column", None)
+    label_column = run["dataset.label_column"]
     if label_column is None:
         raise ConfigError("a label column is required (--label-col or config)")
     if isinstance(label_column, str) and label_column.lstrip("-").isdigit():
-        label_column = int(label_column)
-
-    features = None
-    listed = feat_cfg.get("list")
-    if listed is not None and not isinstance(listed, list):
-        raise ConfigError(f"features.list must be a list, got {listed!r}")
-    if args.features is not None:
-        features = _parse_feature_list(args.features)
-    elif listed is not None:
-        features = [_integer(i, "list") for i in listed]
-    combo_count = _pick_int(args, "combos", feat_cfg, "combos", None)
-    if features is not None and combo_count is not None:
+        run["dataset.label_column"] = int(label_column)
+    features, n_qubits = run["features.list"], run["features.k"]
+    if features is not None and run["features.combos"] is not None:
         raise ConfigError("choose either explicit --features or --combos, not both")
-    n_qubits = _pick_int(args, "qubits", feat_cfg, "k", None)
     if features is not None:
         if n_qubits is not None and n_qubits != len(features):
             raise ConfigError(
                 f"--qubits {n_qubits} disagrees with {len(features)} features"
             )
-        n_qubits = len(features)
+        n_qubits = run["features.k"] = len(features)
     if n_qubits is None:
         raise ConfigError("a qubit count is required (--qubits, --features or config)")
     if n_qubits < 1:
         raise ConfigError("n_qubits must be >= 1")
-    if combo_count is None and features is None:
-        features = list(range(n_qubits))
+    if run["features.combos"] is None and features is None:
+        run["features.list"] = list(range(n_qubits))
 
-    # kernels computes no indexes: it reads hmi_mode, so the key is known,
-    # and ignores it.
-    hmi_mode = _pick(args, "hmi_mode", cfg, "hmi_mode", "sum")
-    if not hasattr(args, "hmi_mode"):
-        hmi_mode = None
-    elif hmi_mode not in HMI_MODES:
-        raise ConfigError(f"hmi_mode must be one of {HMI_MODES}, got {hmi_mode!r}")
-    run = RunConfig(
-        dataset_path=str(dataset_path),
-        label_column=label_column,
-        positive_class=_pick(args, "positive_class", ds_cfg, "positive_class", None),
-        features=features,
-        combo_count=combo_count,
-        combo_seed=_pick_int(args, "combo_seed", feat_cfg, "seed", 0),
-        n_qubits=n_qubits,
-        hmi_mode=hmi_mode,
-        out_dir=str(_pick(args, "out", cfg, "out", "runs")),
-    )
-    if training:
-        _resolve_training(args, cfg, run)
-    else:
-        cfg.read.update(_RUN_SECTIONS)
-    unread = cfg.unread()
-    if unread:
-        raise ConfigError(f"unknown config key(s): {', '.join(unread)}")
+    if "svm.C" in run:  # a command that splits, scales, evolves and trains
+        if run["scaling.lo"] >= run["scaling.hi"]:
+            raise ConfigError(f"scaling.lo {run['scaling.lo']} must be below "
+                              f"scaling.hi {run['scaling.hi']}")
+        early_stop = EarlyStop(**_section(run, "evolve.early_stop"))
+        run.update(
+            split=SplitSpec(**_section(run, "split")), scaling=_section(run, "scaling"),
+            svm=TrainConfig(**_section(run, "svm")),
+            evolve=EvolveConfig(n_qubits, early_stop=early_stop,
+                                **_section(run, "evolve")))
     return run
 
 
-def _resolve_training(args, cfg: _Section, run: RunConfig) -> None:
-    """Fill in ``run``'s split, scaling, SVM and GA settings."""
-    split_cfg, scale_cfg, svm_cfg, ga_cfg = map(cfg.section, _RUN_SECTIONS)
-    early = ga_cfg.section("early_stop")
-    target_acc = _pick(args, "target_accuracy", early, "target_accuracy",
-                       EarlyStop.target_accuracy)
-    stagnation = _pick_int(args, "stagnation", early, "stagnation_generations",
-                           EarlyStop.stagnation_generations)
-    run.evolve = EvolveConfig(
-        n_qubits=run.n_qubits,
-        population_size=_pick_int(args, "population", ga_cfg, "population_size",
-                                  EvolveConfig.population_size),
-        generations=_pick_int(args, "generations", ga_cfg, "generations",
-                              EvolveConfig.generations),
-        crossover_prob=float(_pick(args, "crossover_prob", ga_cfg, "crossover_prob",
-                                   EvolveConfig.crossover_prob)),
-        mutation_prob=_pick(args, "mutation_prob", ga_cfg, "mutation_prob",
-                            EvolveConfig.mutation_prob),
-        tournament_size=_pick_int(args, "tournament_size", ga_cfg, "tournament_size",
-                                  EvolveConfig.tournament_size),
-        seed=_pick_int(args, "seed", ga_cfg, "seed", EvolveConfig.seed),
-        early_stop=EarlyStop(
-            target_accuracy=None if target_acc is None else float(target_acc),
-            stagnation_generations=stagnation,
-        ),
-    )
-    run.svm = TrainConfig(
-        C=float(_pick(args, "svm_c", svm_cfg, "C", TrainConfig.C)),
-        tolerance=float(svm_cfg.get("tolerance", TrainConfig.tolerance)),
-        max_iterations=_integer(svm_cfg.get("max_iterations", TrainConfig.max_iterations),
-                                "max_iterations"),
-    )
-    stratified = split_cfg.get("stratified", SplitSpec.stratified)
-    if not isinstance(stratified, bool):
-        raise ConfigError(f"stratified must be true or false, got {stratified!r}")
-    run.split = SplitSpec(
-        n_train=_pick_int(args, "train_size", split_cfg, "n_train", 100),
-        n_test=_pick_int(args, "test_size", split_cfg, "n_test", 50),
-        seed=_pick_int(args, "split_seed", split_cfg, "seed", SplitSpec.seed),
-        stratified=not getattr(args, "no_stratify", False) and stratified,
-    )
-    run.scale = (float(_pick(args, "scale_lo", scale_cfg, "lo", 0.0)),
-                 float(_pick(args, "scale_hi", scale_cfg, "hi", DEFAULT_SCALE_HI)))
+def _dataset_and_combos(run: dict) -> tuple[Dataset, list[tuple[int, ...]]]:
+    dataset = load_csv(run["dataset.path"], run["dataset.label_column"],
+                       run["dataset.positive_class"])
+    if run["features.list"] is not None:
+        return dataset, [tuple(run["features.list"])]
+    return dataset, sample_feature_combos(
+        dataset.X.shape[1], run["features.k"], run["features.combos"],
+        seed=run["features.seed"])
 
 
-def _feature_combos(run: RunConfig, dataset: Dataset) -> list[tuple[int, ...]]:
-    if run.features is not None:
-        return [tuple(run.features)]
-    return sample_feature_combos(dataset.X.shape[1], run.n_qubits,
-                                 run.combo_count, seed=run.combo_seed)
-
-
-def _prepared_split(run: RunConfig, dataset: Dataset, combo):
+def _prepared_split(run: dict, dataset: Dataset, combo):
     """Feature subset and its scaled split; a split that cannot be scored
     fails here, before any output is written."""
     sub = subset_features(dataset, combo)
-    tts = make_split(minmax_scale(sub, *run.scale), run.split)
+    tts = make_split(minmax_scale(sub, **run["scaling"]), run["split"])
     check_scorable(tts)
     return sub, tts
 
@@ -370,7 +329,7 @@ def _pareto_records(result: EvolveResult) -> list[dict]:
             for ind in front]
 
 
-def _write_run_outputs(out_dir: Path, run: RunConfig, combo, sub: Dataset,
+def _write_run_outputs(out_dir: Path, run: dict, combo, sub: Dataset,
                        result: EvolveResult) -> list[dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = _pareto_records(result)
@@ -380,20 +339,20 @@ def _write_run_outputs(out_dir: Path, run: RunConfig, combo, sub: Dataset,
                ["generation", "best_accuracy", "front_size", "min_local", "min_cnot"],
                [[s.generation, repr(s.best_accuracy), s.front_size,
                  s.min_local, s.min_cnot] for s in result.history])
-    indexes = compute_indexes(sub.X, sub.y, hmi_mode=run.hmi_mode)
+    indexes = compute_indexes(sub.X, sub.y, hmi_mode=run["hmi_mode"])
     _write_csv(out_dir / "separability.csv", SEPARABILITY_HEADER,
-               [_separability_row(Path(run.dataset_path).stem, _combo_label(combo, ";"),
-                                  sub.X.shape[0], indexes)])
+               [_separability_row(Path(run["dataset.path"]).stem,
+                                  _combo_label(combo, ";"), sub.X.shape[0], indexes)])
     manifest = {
-        "dataset": run.dataset_path,
-        "label_column": run.label_column,
-        "positive_class": run.positive_class,
+        "dataset": run["dataset.path"],
+        "label_column": run["dataset.label_column"],
+        "positive_class": run["dataset.positive_class"],
         "features": list(combo),
-        "n_qubits": run.evolve.n_qubits,
-        "split": asdict(run.split),
-        "scaling": {"lo": run.scale[0], "hi": run.scale[1]},
-        "svm": asdict(run.svm),
-        "evolve": asdict(run.evolve),
+        "n_qubits": run["features.k"],
+        "split": asdict(run["split"]),
+        "scaling": run["scaling"],
+        "svm": asdict(run["svm"]),
+        "evolve": asdict(run["evolve"]),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     (out_dir / "manifest.json").write_text(
@@ -402,13 +361,12 @@ def _write_run_outputs(out_dir: Path, run: RunConfig, combo, sub: Dataset,
 
 
 def cmd_evolve(args) -> int:
-    run = _resolve(args, training=True)
-    dataset = load_csv(run.dataset_path, run.label_column, run.positive_class)
-    combos = _feature_combos(run, dataset)
-    base = Path(run.out_dir)
+    run = _resolve(args)
+    dataset, combos = _dataset_and_combos(run)
+    base = Path(run["out"])
     for combo in combos:
         sub, tts = _prepared_split(run, dataset, combo)
-        result = evolve(run.evolve, svm_evaluator(tts, run.svm))
+        result = evolve(run["evolve"], svm_evaluator(tts, run["svm"]))
         out_dir = base if len(combos) == 1 else base / f"combo_{_combo_label(combo)}"
         records = _write_run_outputs(out_dir, run, combo, sub, result)
         best = best_pareto_record(records)
@@ -425,9 +383,8 @@ def _dump_gram(dump_dir: str, combo, kind: str, gram: np.ndarray) -> None:
 
 
 def cmd_kernels(args) -> int:
-    run = _resolve(args, training=True)
-    dataset = load_csv(run.dataset_path, run.label_column, run.positive_class)
-    combos = _feature_combos(run, dataset)
+    run = _resolve(args)
+    dataset, combos = _dataset_and_combos(run)
     quantum = not args.classical_only
     header = ["features", *CLASSICAL_KINDS] + (["quantum"] if quantum else [])
     rows = []
@@ -437,42 +394,41 @@ def cmd_kernels(args) -> int:
         for kind in CLASSICAL_KINDS:
             gram = classical_kernel(kind, tts.X_train, tts.X_train)
             cross = classical_kernel(kind, tts.X_test, tts.X_train)
-            accs.append(fit_score(gram, cross, tts.y_train, tts.y_test, run.svm))
+            accs.append(fit_score(gram, cross, tts.y_train, tts.y_test, run["svm"]))
             if args.dump_grams:
                 _dump_gram(args.dump_grams, combo, kind, gram)
         if quantum:
-            result = evolve(run.evolve, svm_evaluator(tts, run.svm))
+            result = evolve(run["evolve"], svm_evaluator(tts, run["svm"]))
             best = best_pareto_record(_pareto_records(result))
             accs.append(best["accuracy"])
             if args.dump_grams:
-                template = decode(Genome.from_string(best["genome"], run.evolve.n_qubits))
+                template = decode(Genome.from_string(best["genome"], run["features.k"]))
                 _dump_gram(args.dump_grams, combo, "quantum",
                            quantum_gram(template, tts.X_train))
         rows.append([_combo_label(combo, ";")] + [repr(a) for a in accs])
     means = [repr(float(np.mean([float(r[c]) for r in rows])))
              for c in range(1, len(header))]
     rows.append(["mean"] + means)
-    out_path = Path(run.out_dir) / "kernels.csv"
+    out_path = Path(run["out"]) / "kernels.csv"
     _write_csv(out_path, header, rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
     return 0
 
 
 def cmd_separability(args) -> int:
-    run = _resolve(args, training=False)
-    dataset = load_csv(run.dataset_path, run.label_column, run.positive_class)
-    combos = _feature_combos(run, dataset)
-    name = Path(run.dataset_path).stem
+    run = _resolve(args)
+    dataset, combos = _dataset_and_combos(run)
+    name = Path(run["dataset.path"]).stem
     rows = []
     values = []
     for combo in combos:
         sub = subset_features(dataset, combo)
-        values.append(compute_indexes(sub.X, sub.y, hmi_mode=run.hmi_mode))
+        values.append(compute_indexes(sub.X, sub.y, hmi_mode=run["hmi_mode"]))
         rows.append(_separability_row(name, _combo_label(combo, ";"), sub.X.shape[0],
                                       values[-1]))
     rows.append(_separability_row(name, "mean", dataset.X.shape[0],
                                   [col.mean() for col in np.asarray(values).T]))
-    out_path = Path(run.out_dir) / "separability.csv"
+    out_path = Path(run["out"]) / "separability.csv"
     _write_csv(out_path, SEPARABILITY_HEADER, rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
     return 0

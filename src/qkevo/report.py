@@ -79,6 +79,15 @@ def _read_separability_row(path: Path) -> tuple[float, float, float]:
     return float(row["si"]), float(row["hmi"]), float(row["dsi"])
 
 
+def _well_typed_record(record) -> bool:
+    """A pareto record as ``best_pareto_record`` reads it.  A bool is neither
+    a number nor a count here, though Python makes it an int."""
+    return (isinstance(record, dict) and isinstance(record.get("genome"), str)
+            and type(record.get("accuracy")) in (int, float)
+            and type(record.get("local_gates")) is int
+            and type(record.get("cnot_gates")) is int)
+
+
 def load_run(run_dir) -> RunRecord:
     """Read one finished run directory; raises DataError when anything is
     missing or inconsistent.  ``evolve`` writes ``manifest.json`` last, so
@@ -96,8 +105,9 @@ def load_run(run_dir) -> RunRecord:
     except json.JSONDecodeError as exc:
         raise DataError(f"{run_dir}: invalid JSON: {exc}") from exc
     if not (isinstance(records, list) and records
-            and all(isinstance(r, dict) for r in records)):
-        raise DataError(f"{pareto_path}: expected a non-empty list of records")
+            and all(map(_well_typed_record, records))):
+        raise DataError(f"{pareto_path}: expected a non-empty list of records, each "
+                        "with a string genome, a numeric accuracy and integer gate counts")
     n_qubits = manifest.get("n_qubits") if isinstance(manifest, dict) else None
     if type(n_qubits) is not int:  # bool is an int subclass, so no isinstance
         raise DataError(f"{manifest_path}: expected an object with an integer n_qubits")

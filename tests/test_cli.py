@@ -1,5 +1,6 @@
 """End-to-end checks of the qkevo command line."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -134,15 +135,42 @@ def test_unknown_hmi_mode_in_config_is_usage_error(tmp_path, capsys):
     pytest.param({"evolve": {"early_stop": {"stagnation_generations": 1.5}}},
                  id="stagnation_generations"),
     pytest.param({"split": {"stratified": "false"}}, id="stratified-string"),
-    pytest.param({"split": {"stratified": 0}}, id="stratified-number")])
+    pytest.param({"split": {"stratified": 0}}, id="stratified-number"),
+    pytest.param({"svm": {"C": "abc"}}, id="C-string"),
+    pytest.param({"svm": {"C": True}}, id="C-bool"),
+    pytest.param({"evolve": {"mutation_prob": "0.1"}}, id="mutation_prob-string"),
+    pytest.param({"evolve": {"seed": True}}, id="seed-bool"),
+    pytest.param({"scaling": {"hi": "3"}}, id="hi-string"),
+    pytest.param({"out": None}, id="out-null")])
 def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, section):
     # Before, int() and bool() coerced these: 2.5 steps became 2 and the
-    # string "false" ran a stratified split.
+    # string "false" ran a stratified split.  True ran as C = 1.0 and seed 1,
+    # "3" as hi = 3.0, "abc" failed as a runtime error, "0.1" with a
+    # traceback, and a null out was read although --out overrode it.
     config = tmp_path / "config.json"
     config.write_text(json.dumps(section))
     out = tmp_path / "run"
     assert main(_evolve_args(out, extra=("--config", str(config)))) == 1
     assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "kernels"])
+@pytest.mark.parametrize("bounds", [
+    pytest.param(("--scale-lo", "2", "--scale-hi", "1"), id="flags"),
+    pytest.param({"scaling": {"lo": 2, "hi": 1}}, id="config"),
+    pytest.param({"scaling": {"lo": 1.5, "hi": 1.5}}, id="config-equal")])
+def test_reversed_scaling_bounds_are_usage_error(tmp_path, capsys, command, bounds):
+    # Before, the scaler refused them as a runtime error (exit 3).
+    if isinstance(bounds, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(bounds))
+        bounds = ("--config", str(config))
+    out = tmp_path / "run"
+    only = ("--classical-only",) if command == "kernels" else ()
+    args = _evolve_args(out, extra=(*bounds, *only))
+    assert main([command, *args[1:]]) == 1
+    assert "scaling.lo" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -360,6 +388,35 @@ def test_flag_the_command_never_reads_is_usage_error(tmp_path, command, flag):
     assert main([command, "--dataset", IRIS, "--label-col", "species", "--features",
                  "0,1", "--out", str(out), *only, *flag]) == 1
     assert not out.exists()
+
+
+_DATA_FLAGS = {"--config", "--dataset", "--label-col", "--positive-class", "--qubits",
+               "--features", "--combos", "--combo-seed", "--out"}
+_RUN_FLAGS = {"--seed", "--split-seed", "--train-size", "--test-size", "--no-stratify",
+              "--scale-lo", "--scale-hi", "--population", "--generations",
+              "--crossover-prob", "--mutation-prob", "--tournament-size",
+              "--target-accuracy", "--stagnation", "--svm-c"}
+# Every subcommand's option strings but -h/--help, as the hand-written
+# parser had them before the settings table generated the flags.
+PINNED_FLAGS = {
+    "evolve": _DATA_FLAGS | _RUN_FLAGS | {"--hmi-mode"},
+    "kernels": _DATA_FLAGS | _RUN_FLAGS | {"--classical-only", "--dump-grams"},
+    "separability": _DATA_FLAGS | {"--hmi-mode"},
+    "decode": {"--qubits"},
+    "report": {"--out"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_FLAGS))
+def test_flag_sets_are_pinned_and_documented(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    shown = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+    assert shown - {"-h", "--help"} == PINNED_FLAGS[command]
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Command line"):readme.index("\n## Data files")]
+    assert [flag for flag in sorted(PINNED_FLAGS[command])
+            if not re.search(rf"(?<![\w-]){flag}(?![\w-])", section)] == []
 
 
 def test_decode_listing(capsys):

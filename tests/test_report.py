@@ -106,6 +106,13 @@ def test_load_run_rejects_inconsistent_counts(tmp_path):
         load_run(tmp_path / "bad")
 
 
+def _records(genome=GENOMES_BY_CNOT[0], **fields):
+    """A one-record pareto.json for a 2-qubit run, ``fields`` replaced."""
+    counts = gate_counts(decode(Genome.from_string(genome, 2)))
+    return [{"genome": genome, "accuracy": 0.9, "local_gates": counts.local,
+             "cnot_gates": counts.cnot, **fields}]
+
+
 def test_scan_runs_skips_invalid(tmp_path):
     _write_run(tmp_path / "good", GENOMES_BY_CNOT[0], 2, 0.9, 0.5, 1.0, 0.4)
     (tmp_path / "broken").mkdir()
@@ -116,7 +123,14 @@ def test_scan_runs_skips_invalid(tmp_path):
         "manifest_string_qubits": ("manifest.json", {"n_qubits": "2"}),
         "manifest_bool_qubits": ("manifest.json", {"n_qubits": True}),
         "record_not_object": ("pareto.json", ["x"]),
+        "record_string_accuracy": ("pareto.json", _records(accuracy="x")),
+        "record_bool_accuracy": ("pareto.json", _records(accuracy=True)),
+        "record_number_genome": ("pareto.json", [{**_records()[0], "genome": 1110100}]),
+        "record_float_local_gates": ("pareto.json", _records(local_gates=5.0)),
+        "record_bool_cnot_gates": ("pareto.json", _records("0000000", cnot_gates=False)),
     }
+    # The float and bool gate counts equal the genome's true counts (5 local,
+    # 0 CNOT), so only their type is wrong.
     for name, (file_name, content) in broken_files.items():
         _write_run(tmp_path / name, GENOMES_BY_CNOT[0], 2, 0.9, 0.5, 1.0, 0.4)
         (tmp_path / name / file_name).write_text(json.dumps(content), encoding="utf-8")

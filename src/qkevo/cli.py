@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,8 +34,8 @@ from .data import (Dataset, SplitSpec, check_scorable, load_csv, make_split,
 from .errors import ConfigError, DataError, TrainingError
 from .featuremap import Genome, decode, gate_counts
 from .kernel import CLASSICAL_KINDS, classical_kernel, quantum_gram
-from .nsga2 import (SENSE, EarlyStop, EvolveConfig, EvolveResult, evolve,
-                    svm_evaluator)
+from .nsga2 import (SENSE, EarlyStop, EvolveConfig, EvolveResult, GenerationStats,
+                    evolve, svm_evaluator)
 from .report import best_pareto_record, correlation_rows, gate_means, scan_runs
 from .separability import HMI_MODES, compute_indexes
 from .svm import TrainConfig, fit_score
@@ -271,9 +271,9 @@ def _resolve(args) -> dict:
         run["features.list"] = list(range(n_qubits))
 
     if "svm.C" in run:  # a command that splits, scales, evolves and trains
-        if run["scaling.lo"] >= run["scaling.hi"]:
+        if not -math.inf < run["scaling.lo"] < run["scaling.hi"] < math.inf:
             raise ConfigError(f"scaling.lo {run['scaling.lo']} must be below "
-                              f"scaling.hi {run['scaling.hi']}")
+                              f"scaling.hi {run['scaling.hi']}, both finite")
         early_stop = EarlyStop(**_section(run, "evolve.early_stop"))
         run.update(
             split=SplitSpec(**_section(run, "split")), scaling=_section(run, "scaling"),
@@ -335,10 +335,8 @@ def _write_run_outputs(out_dir: Path, run: dict, combo, sub: Dataset,
     records = _pareto_records(result)
     (out_dir / "pareto.json").write_text(
         json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_csv(out_dir / "history.csv",
-               ["generation", "best_accuracy", "front_size", "min_local", "min_cnot"],
-               [[s.generation, repr(s.best_accuracy), s.front_size,
-                 s.min_local, s.min_cnot] for s in result.history])
+    _write_csv(out_dir / "history.csv", [f.name for f in fields(GenerationStats)],
+               [astuple(s) for s in result.history])
     indexes = compute_indexes(sub.X, sub.y, hmi_mode=run["hmi_mode"])
     _write_csv(out_dir / "separability.csv", SEPARABILITY_HEADER,
                [_separability_row(Path(run["dataset.path"]).stem,
@@ -387,7 +385,7 @@ def cmd_kernels(args) -> int:
     dataset, combos = _dataset_and_combos(run)
     quantum = not args.classical_only
     header = ["features", *CLASSICAL_KINDS] + (["quantum"] if quantum else [])
-    rows = []
+    rows, table = [], []
     for combo in combos:
         _, tts = _prepared_split(run, dataset, combo)
         accs = []
@@ -405,10 +403,9 @@ def cmd_kernels(args) -> int:
                 template = decode(Genome.from_string(best["genome"], run["features.k"]))
                 _dump_gram(args.dump_grams, combo, "quantum",
                            quantum_gram(template, tts.X_train))
+        table.append(accs)
         rows.append([_combo_label(combo, ";")] + [repr(a) for a in accs])
-    means = [repr(float(np.mean([float(r[c]) for r in rows])))
-             for c in range(1, len(header))]
-    rows.append(["mean"] + means)
+    rows.append(["mean"] + [repr(float(col.mean())) for col in np.asarray(table).T])
     out_path = Path(run["out"]) / "kernels.csv"
     _write_csv(out_path, header, rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
@@ -435,8 +432,6 @@ def cmd_separability(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    if args.qubits < 1:
-        raise ConfigError("--qubits must be a positive integer")
     genome = Genome.from_string(args.genome, args.qubits)
     template = decode(genome)
     counts = gate_counts(template)

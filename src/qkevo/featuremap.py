@@ -28,7 +28,7 @@ AXIS_CODES = ("X", "Y", "Z", "Z")
 def genome_length(n_qubits: int) -> int:
     """Bits needed for an ``n_qubits`` genome: N + C(N,2) + 4."""
     if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+        raise ConfigError(f"n_qubits must be >= 1, got {n_qubits}")
     return n_qubits + n_qubits * (n_qubits - 1) // 2 + 4
 
 
@@ -43,16 +43,15 @@ class Genome:
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int8)
+        # Checked as given: a cast first would wrap 256 to 0 and truncate 0.7.
+        bits = np.asarray(self.bits)
         expected = genome_length(self.n_qubits)
-        if bits.ndim != 1 or bits.size != expected:
-            raise ValueError(
-                f"genome for {self.n_qubits} qubits needs {expected} bits, "
-                f"got {bits.size}"
-            )
+        if bits.shape != (expected,):
+            raise ConfigError(f"genome for {self.n_qubits} qubits needs {expected} "
+                              f"bits, got shape {bits.shape}")
         if not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("genome bits must be 0 or 1")
-        self.bits = bits
+            raise ConfigError("genome bits must be 0 or 1")
+        self.bits = bits.astype(np.int8, copy=False)
 
     def to_string(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)
@@ -61,11 +60,6 @@ class Genome:
     def from_string(cls, text: str, n_qubits: int) -> "Genome":
         if set(text) - {"0", "1"}:
             raise ConfigError(f"genome string may contain only '0'/'1': {text!r}")
-        expected = genome_length(n_qubits)
-        if len(text) != expected:
-            raise ConfigError(
-                f"genome for {n_qubits} qubits needs {expected} bits, got {len(text)}"
-            )
         return cls(n_qubits, np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))
 
 

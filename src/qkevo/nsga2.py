@@ -45,6 +45,12 @@ class EarlyStop:
     target_accuracy: float | None = None
     stagnation_generations: int | None = None
 
+    def __post_init__(self):
+        if self.target_accuracy is not None and not np.isfinite(self.target_accuracy):
+            raise ConfigError("target_accuracy must be finite")
+        if self.stagnation_generations is not None and self.stagnation_generations < 1:
+            raise ConfigError("stagnation_generations must be >= 1")
+
 
 @dataclass
 class EvolveConfig:
@@ -58,8 +64,7 @@ class EvolveConfig:
     early_stop: EarlyStop = field(default_factory=EarlyStop)
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ConfigError("n_qubits must be >= 1")
+        genome_length(self.n_qubits)  # refuses a qubit count below 1
         if self.population_size < 4 or self.population_size % 2:
             raise ConfigError("population_size must be even and >= 4")
         if self.generations < 0:

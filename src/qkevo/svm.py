@@ -35,8 +35,8 @@ class TrainConfig:
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        if self.C <= 0 or self.tolerance <= 0:
-            raise ConfigError("C and tolerance must be positive")
+        if not (0 < self.C < np.inf and 0 < self.tolerance < np.inf):
+            raise ConfigError("C and tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
 

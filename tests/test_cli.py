@@ -263,6 +263,38 @@ def test_non_positive_svm_c_is_usage_error(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, setting", [
+    pytest.param("evolve", ("--svm-c", "nan"), id="svm-c-nan"),
+    pytest.param("evolve", ("--svm-c", "1e400"), id="svm-c-overflow"),
+    pytest.param("kernels", ("--svm-c", "inf", "--classical-only"), id="kernels-svm-c-inf"),
+    pytest.param("evolve", {"svm": {"C": float("nan")}}, id="config-svm-c-nan"),
+    pytest.param("evolve", {"svm": {"tolerance": float("inf")}}, id="config-tolerance-inf"),
+    pytest.param("evolve", ("--target-accuracy", "nan"), id="target-accuracy-nan"),
+    pytest.param("evolve", ("--target-accuracy", "inf"), id="target-accuracy-inf"),
+    pytest.param("evolve", ("--scale-lo", "nan"), id="scale-lo-nan"),
+    pytest.param("evolve", ("--scale-hi", "inf"), id="scale-hi-inf"),
+    pytest.param("evolve", {"scaling": {"hi": float("inf")}}, id="config-hi-inf"),
+    pytest.param("kernels", {"scaling": {"lo": float("-inf")}}, id="kernels-config-lo-inf"),
+    pytest.param("evolve", ("--stagnation", "0"), id="stagnation-zero"),
+    pytest.param("evolve", ("--stagnation", "-3"), id="stagnation-negative"),
+    pytest.param("evolve", {"evolve": {"early_stop": {"stagnation_generations": 0}}},
+                 id="config-stagnation-zero")])
+def test_non_finite_or_bad_early_stop_setting_is_usage_error(tmp_path, capsys,
+                                                            command, setting):
+    # Before, NaN and 1e400 C and a NaN target ran (exit 0, with NaN or
+    # Infinity in manifest.json), non-finite scaling bounds exited 3, and a
+    # stagnation of 0 or -3 stopped the run after generation 0.
+    if isinstance(setting, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(setting))
+        setting = ("--config", str(config))
+    out = tmp_path / "run"
+    args = _evolve_args(out, extra=setting)
+    assert main([command, *args[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("evolve", ()), ("kernels", ("--classical-only",)), ("kernels", ("--dump-grams",))],
     ids=["evolve", "kernels-classical-only", "kernels-dump-grams"])
@@ -438,6 +470,9 @@ def test_decode_hadamard_only(capsys):
 def test_decode_usage_errors():
     assert main(["decode", "00x0000", "--qubits", "2"]) == 1
     assert main(["decode", "000", "--qubits", "2"]) == 1
+    assert main(["decode", "0000000", "--qubits", "0"]) == 1
+    assert main(["decode", "0000000", "--qubits", "-1"]) == 1
+    assert main(["decode", "", "--qubits", "2"]) == 1
 
 
 def test_report_on_synthetic_runs(tmp_path, capsys):

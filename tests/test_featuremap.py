@@ -16,6 +16,9 @@ def test_genome_length(n, expected):
 def test_genome_length_rejects_nonpositive():
     with pytest.raises(ValueError):
         genome_length(0)
+    for n in (0, -1):
+        with pytest.raises(ConfigError):
+            genome_length(n)
 
 
 def test_decode_three_qubit_example():
@@ -67,6 +70,15 @@ def test_genome_validation():
         Genome.from_string("01x0000", 2)
     with pytest.raises(ConfigError):
         Genome.from_string("0000000", 3)
+    # Each entry is checked before the int8 cast, which would turn these
+    # into 0100000, 0100000 and 1100000.
+    for first in (256, 0.7, -255):
+        with pytest.raises(ConfigError, match="0 or 1"):
+            Genome(2, np.array([first, 1, 0, 0, 0, 0, 0]))
+    with pytest.raises(ConfigError):
+        Genome(3, np.zeros(9, dtype=int))  # wrong length
+    with pytest.raises(ConfigError):
+        Genome(2, np.zeros((1, 7), dtype=int))  # not one-dimensional
 
 
 def test_genome_string_round_trip():

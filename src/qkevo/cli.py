@@ -34,7 +34,7 @@ from .data import (Dataset, SplitSpec, check_scorable, load_csv, make_split,
 from .errors import ConfigError, DataError, TrainingError
 from .featuremap import Genome, decode, gate_counts
 from .kernel import CLASSICAL_KINDS, classical_kernel, quantum_gram
-from .nsga2 import (SENSE, EarlyStop, EvolveConfig, EvolveResult, GenerationStats,
+from .nsga2 import (SENSE, EarlyStop, EvolveConfig, GenerationStats,
                     evolve, svm_evaluator)
 from .report import best_pareto_record, correlation_rows, gate_means, scan_runs
 from .separability import HMI_MODES, compute_indexes
@@ -306,11 +306,14 @@ def _combo_label(combo, sep: str = "-") -> str:
     return sep.join(str(i) for i in combo)
 
 
-def _separability_row(name: str, features: str, n_instances: int, indexes) -> list:
-    return [name, features, n_instances, *(repr(float(v)) for v in indexes)]
+def _separability_row(run: dict, combo, sub: Dataset) -> list:
+    """The combo's row under SEPARABILITY_HEADER."""
+    return [Path(run["dataset.path"]).stem, _combo_label(combo, ";"), sub.X.shape[0],
+            *compute_indexes(sub.X, sub.y, hmi_mode=run["hmi_mode"])]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Every cell is written by ``csv``, which writes a float as its repr."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -318,29 +321,42 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _pareto_records(result: EvolveResult) -> list[dict]:
-    """One record per front member, keyed by the Objectives field names,
-    best first by objective cost and then by genome."""
+def _write_table(out: str, name: str, header: list[str], rows: list[list],
+                 mean_label: list) -> None:
+    """Write ``rows`` and their mean row to ``out/name`` and say so.  The mean
+    row is ``mean_label`` followed by the mean of each column after it."""
+    values = np.asarray([row[len(mean_label):] for row in rows], dtype=float)
+    rows = [*rows, [*mean_label, *(float(col.mean()) for col in values.T)]]
+    path = Path(out) / name
+    _write_csv(path, header, rows)
+    print(f"wrote {path} ({len(rows)} rows)")
+
+
+def _write_json(path: Path, value) -> None:
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _evolve_front(run: dict, tts) -> tuple[list[dict], list[GenerationStats]]:
+    """Evolve feature maps on the split and rank the Pareto front: one record
+    per member, keyed by the Objectives field names, best first by objective
+    cost and then by genome.  Also returns the per-generation history."""
+    result = evolve(run["evolve"], svm_evaluator(tts, run["svm"]))
     front = sorted(result.pareto_front, key=lambda ind: (
         tuple(SENSE * ind.objectives), ind.genome.to_string()))
     return [{"genome": ind.genome.to_string(), **ind.objectives._asdict(),
              "rank": ind.rank,
              "generation_found": result.first_seen[ind.genome.to_string()]}
-            for ind in front]
+            for ind in front], result.history
 
 
 def _write_run_outputs(out_dir: Path, run: dict, combo, sub: Dataset,
-                       result: EvolveResult) -> list[dict]:
+                       records: list[dict], history: list[GenerationStats]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = _pareto_records(result)
-    (out_dir / "pareto.json").write_text(
-        json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out_dir / "pareto.json", records)
     _write_csv(out_dir / "history.csv", [f.name for f in fields(GenerationStats)],
-               [astuple(s) for s in result.history])
-    indexes = compute_indexes(sub.X, sub.y, hmi_mode=run["hmi_mode"])
+               [astuple(s) for s in history])
     _write_csv(out_dir / "separability.csv", SEPARABILITY_HEADER,
-               [_separability_row(Path(run["dataset.path"]).stem,
-                                  _combo_label(combo, ";"), sub.X.shape[0], indexes)])
+               [_separability_row(run, combo, sub)])
     manifest = {
         "dataset": run["dataset.path"],
         "label_column": run["dataset.label_column"],
@@ -353,9 +369,7 @@ def _write_run_outputs(out_dir: Path, run: dict, combo, sub: Dataset,
         "evolve": asdict(run["evolve"]),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return records
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def cmd_evolve(args) -> int:
@@ -364,9 +378,9 @@ def cmd_evolve(args) -> int:
     base = Path(run["out"])
     for combo in combos:
         sub, tts = _prepared_split(run, dataset, combo)
-        result = evolve(run["evolve"], svm_evaluator(tts, run["svm"]))
+        records, history = _evolve_front(run, tts)
         out_dir = base if len(combos) == 1 else base / f"combo_{_combo_label(combo)}"
-        records = _write_run_outputs(out_dir, run, combo, sub, result)
+        _write_run_outputs(out_dir, run, combo, sub, records, history)
         best = best_pareto_record(records)
         print(f"{out_dir}: front size {len(records)}, "
               f"best accuracy {best['accuracy']:.4f} "
@@ -376,8 +390,7 @@ def cmd_evolve(args) -> int:
 
 def _dump_gram(dump_dir: str, combo, kind: str, gram: np.ndarray) -> None:
     _write_csv(Path(dump_dir) / f"gram_{_combo_label(combo)}_{kind}.csv",
-               [f"c{i}" for i in range(gram.shape[1])],
-               [[repr(v) for v in row] for row in gram.tolist()])
+               [f"c{i}" for i in range(gram.shape[1])], gram.tolist())
 
 
 def cmd_kernels(args) -> int:
@@ -385,7 +398,7 @@ def cmd_kernels(args) -> int:
     dataset, combos = _dataset_and_combos(run)
     quantum = not args.classical_only
     header = ["features", *CLASSICAL_KINDS] + (["quantum"] if quantum else [])
-    rows, table = [], []
+    rows = []
     for combo in combos:
         _, tts = _prepared_split(run, dataset, combo)
         accs = []
@@ -396,38 +409,24 @@ def cmd_kernels(args) -> int:
             if args.dump_grams:
                 _dump_gram(args.dump_grams, combo, kind, gram)
         if quantum:
-            result = evolve(run["evolve"], svm_evaluator(tts, run["svm"]))
-            best = best_pareto_record(_pareto_records(result))
+            best = best_pareto_record(_evolve_front(run, tts)[0])
             accs.append(best["accuracy"])
             if args.dump_grams:
                 template = decode(Genome.from_string(best["genome"], run["features.k"]))
                 _dump_gram(args.dump_grams, combo, "quantum",
                            quantum_gram(template, tts.X_train))
-        table.append(accs)
-        rows.append([_combo_label(combo, ";")] + [repr(a) for a in accs])
-    rows.append(["mean"] + [repr(float(col.mean())) for col in np.asarray(table).T])
-    out_path = Path(run["out"]) / "kernels.csv"
-    _write_csv(out_path, header, rows)
-    print(f"wrote {out_path} ({len(rows)} rows)")
+        rows.append([_combo_label(combo, ";"), *accs])
+    _write_table(run["out"], "kernels.csv", header, rows, ["mean"])
     return 0
 
 
 def cmd_separability(args) -> int:
     run = _resolve(args)
     dataset, combos = _dataset_and_combos(run)
-    name = Path(run["dataset.path"]).stem
-    rows = []
-    values = []
-    for combo in combos:
-        sub = subset_features(dataset, combo)
-        values.append(compute_indexes(sub.X, sub.y, hmi_mode=run["hmi_mode"]))
-        rows.append(_separability_row(name, _combo_label(combo, ";"), sub.X.shape[0],
-                                      values[-1]))
-    rows.append(_separability_row(name, "mean", dataset.X.shape[0],
-                                  [col.mean() for col in np.asarray(values).T]))
-    out_path = Path(run["out"]) / "separability.csv"
-    _write_csv(out_path, SEPARABILITY_HEADER, rows)
-    print(f"wrote {out_path} ({len(rows)} rows)")
+    rows = [_separability_row(run, combo, subset_features(dataset, combo))
+            for combo in combos]
+    _write_table(run["out"], "separability.csv", SEPARABILITY_HEADER, rows,
+                 [Path(run["dataset.path"]).stem, "mean", dataset.X.shape[0]])
     return 0
 
 
@@ -460,17 +459,15 @@ def cmd_report(args) -> int:
     _write_csv(out_dir / "aggregate.csv",
                ["run", "n_qubits", "si", "hmi", "dsi", "best_accuracy",
                 "local_gates", "cnot_gates"],
-               [[r.name, r.n_qubits, repr(r.si), repr(r.hmi), repr(r.dsi),
-                 repr(r.accuracy), r.local_gates, r.cnot_gates] for r in records])
+               [astuple(r) for r in records])
     corr = correlation_rows(records)
     _write_csv(out_dir / "correlations.csv",
                ["index", "spearman_vs_cnot", "n_runs"],
-               [[name, "n/a" if value is None else repr(value), len(records)]
+               [[name, "n/a" if value is None else value, len(records)]
                 for name, value in corr])
     _write_csv(out_dir / "gate_means.csv",
                ["n_qubits", "mean_local", "mean_cnot", "n_runs"],
-               [[n, repr(loc), repr(cnt), cnt_runs]
-                for n, loc, cnt, cnt_runs in gate_means(records)])
+               gate_means(records))
     for name, value in corr:
         shown = "n/a" if value is None else f"{value:+.4f}"
         print(f"spearman({name}, cnot) = {shown} over {len(records)} runs")

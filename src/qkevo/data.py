@@ -127,7 +127,9 @@ def subset_features(dataset: Dataset, indices) -> Dataset:
 
 
 def _quotas(counts: np.ndarray, total: int) -> np.ndarray:
-    """Largest-remainder apportionment of ``total`` across classes."""
+    """Largest-remainder apportionment of ``total`` across classes.  Only a
+    class with a fractional share gets one more, so no quota exceeds its
+    class's size while ``total`` is at most ``counts.sum()``."""
     exact = counts * (total / counts.sum())
     base = np.floor(exact).astype(int)
     remainder = total - base.sum()
@@ -150,10 +152,6 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
                 np.sort(perm[spec.n_train:spec.n_train + spec.n_test]))
     classes, counts = np.unique(dataset.y, return_counts=True)
     train_quota = _quotas(counts, spec.n_train)
-    if np.any(train_quota > counts):
-        bad = classes[np.argmax(train_quota > counts)]
-        raise DataError(f"stratified split infeasible: class {bad!r} is smaller "
-                        f"than its training quota")
     # Test quotas come from the remaining per-class capacity, so the two
     # draws never overbook a class.
     test_quota = _quotas(counts - train_quota, spec.n_test) if spec.n_test else \
@@ -161,11 +159,6 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     train_parts, test_parts = [], []
     for cls, q_train, q_test in zip(classes, train_quota, test_quota):
         members = np.flatnonzero(dataset.y == cls)
-        if q_train + q_test > members.size:
-            raise DataError(
-                f"stratified split infeasible: class {cls!r} has {members.size} "
-                f"members but needs {q_train}+{q_test}"
-            )
         shuffled = rng.permutation(members)
         train_parts.append(shuffled[:q_train])
         test_parts.append(shuffled[q_train:q_train + q_test])

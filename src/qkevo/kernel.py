@@ -193,16 +193,8 @@ def classical_kernel(kind: str, X_a, X_b, gamma: float | None = None,
     """
     if kind not in CLASSICAL_KINDS:
         raise ConfigError(f"kernel kind must be one of {CLASSICAL_KINDS}, got {kind!r}")
-    X_a = np.asarray(X_a, dtype=float)
-    X_b = np.asarray(X_b, dtype=float)
-    if X_a.ndim == 1:
-        X_a = X_a[None, :]
-    if X_b.ndim == 1:
-        X_b = X_b[None, :]
-    if X_a.shape[1] != X_b.shape[1]:
-        raise ValueError(
-            f"feature dimensions differ: {X_a.shape[1]} vs {X_b.shape[1]}"
-        )
+    X_b = _as_data_matrix(X_b, np.shape(X_b)[-1], "X_b")
+    X_a = _as_data_matrix(X_a, X_b.shape[1], "X_a")
     if kind == "linear":
         return X_a @ X_b.T
     if gamma is None:

@@ -56,7 +56,6 @@ class RunRecord:
     accuracy: float
     local_gates: int
     cnot_gates: int
-    genome: str
 
 
 def best_pareto_record(records: list[dict]) -> dict:
@@ -119,7 +118,7 @@ def load_run(run_dir) -> RunRecord:
     return RunRecord(name=run_dir.name, n_qubits=n_qubits, si=si, hmi=hmi,
                      dsi=dsi, accuracy=float(best["accuracy"]),
                      local_gates=int(best["local_gates"]),
-                     cnot_gates=int(best["cnot_gates"]), genome=best["genome"])
+                     cnot_gates=int(best["cnot_gates"]))
 
 
 def scan_runs(runs_dir) -> tuple[list[RunRecord], list[str]]:

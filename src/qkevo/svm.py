@@ -17,6 +17,7 @@ bounds, which pins it down even when every alpha sits on a box constraint
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -164,6 +165,9 @@ def train_dual(gram, y, config: TrainConfig | None = None) -> SvmModel:
         raise TrainingError("training labels contain a single class")
     alphas, iterations = _solve(K, y, config.C, config.tolerance,
                                 config.max_iterations)
+    if iterations == config.max_iterations:
+        warnings.warn(f"SMO stopped at max_iterations={config.max_iterations} before "
+                      "reaching the tolerance", RuntimeWarning)
     bias = final_bias(K, y, alphas, config.C)
     support = np.flatnonzero(alphas > _SV_EPS)
     return SvmModel(alphas=alphas, bias=bias, support_indices=support,

@@ -1,4 +1,5 @@
 """End-to-end checks of the qkevo command line."""
+import hashlib
 import json
 import re
 
@@ -78,6 +79,42 @@ def test_evolve_missing_dataset_exit_code():
     assert code == 2  # unreadable file is a data error
     code = main(["evolve", "--label-col", "x", "--qubits", "2"])
     assert code == 1  # no dataset given: usage error
+
+
+_SPECIES = ("--label-col", "species")
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param((*_SPECIES, "--features", "0,1", "--combos", "2"),
+                 "either explicit --features", id="features-and-combos"),
+    pytest.param((*_SPECIES, "--features", "0,1", "--qubits", "3"),
+                 "--qubits 3 disagrees", id="qubits-disagree"),
+    pytest.param(("--qubits", "2"), "a label column is required", id="no-label-column"),
+    pytest.param(_SPECIES, "a qubit count is required", id="no-qubits"),
+    pytest.param((*_SPECIES, "--features", "0,x"), "bad feature list",
+                 id="bad-feature-list"),
+    pytest.param((*_SPECIES, "--qubits", "2", "--config", "missing.json"),
+                 "cannot read config file", id="unreadable-config"),
+    pytest.param((*_SPECIES, "--qubits", "2", "--config", "broken.json"),
+                 "invalid JSON", id="invalid-json-config")])
+def test_missing_or_conflicting_data_setting_is_usage_error(tmp_path, monkeypatch,
+                                                            capsys, flags, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.json").write_text("{")
+    assert main(["evolve", "--dataset", IRIS, *flags, "--population", "4",
+                 "--generations", "0", "--out", "run"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_label_column_by_index_writes_the_same_bytes(tmp_path):
+    assert main(_evolve_args(tmp_path / "name")) == 0
+    args = _evolve_args(tmp_path / "index")
+    args[args.index("species")] = "4"
+    assert main(args) == 0
+    for name in ("pareto.json", "history.csv", "separability.csv"):
+        assert ((tmp_path / "index" / name).read_bytes()
+                == (tmp_path / "name" / name).read_bytes())
 
 
 def test_evolve_bad_label_column_is_data_error(tmp_path):
@@ -481,9 +518,13 @@ def test_report_on_synthetic_runs(tmp_path, capsys):
     for i, (genome, dsi_val) in enumerate(zip(reversed(GENOMES_BY_CNOT),
                                               [0.2, 0.5, 0.8])):
         _write_run(runs / f"run{i}", genome, 2, 0.9, 0.5, 1.0, dsi_val)
+    _write_run(runs / "broken", GENOMES_BY_CNOT[0], 2, 0.9, 0.5, 1.0, 0.1,
+               break_counts=True)
     assert main(["report", str(runs)]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "spearman(dsi, cnot) = -1.0000" in out
+    assert err.startswith(f"warning: skipping {runs / 'broken'}: ")
+    assert err.count("\n") == 1
     agg = (runs / "aggregate.csv").read_text().strip().splitlines()
     assert len(agg) == 4
     corr = (runs / "correlations.csv").read_text()
@@ -502,3 +543,78 @@ def test_no_subcommand_is_usage_error():
 
 def test_unknown_flag_is_usage_error():
     assert main(["decode", "0000000", "--qubits", "2", "--bogus"]) == 1
+
+
+# The runs ``test_outputs_byte_identical`` makes, each with the stdout it
+# prints; paths are relative to a directory holding a link to ``data``.
+_GOLDEN_RUNS = (
+    (["evolve", "--dataset", "data/iris.csv", "--label-col", "species",
+      "--features", "0,1,2", "--population", "8", "--generations", "3",
+      "--out", "iris"],
+     "iris: front size 5, best accuracy 0.9800 (local 8, cnot 0)\n"),
+    (["evolve", "--dataset", "data/breast_cancer.csv", "--label-col", "diagnosis",
+      "--qubits", "2", "--combos", "2", "--population", "4", "--generations", "2",
+      "--out", "combos"],
+     "combos/combo_18-19: front size 4, best accuracy 0.6200 (local 3, cnot 2)\n"
+     "combos/combo_11-25: front size 4, best accuracy 0.8000 (local 12, cnot 6)\n"),
+    (["kernels", "--dataset", "data/iris.csv", "--label-col", "species",
+      "--features", "0,1", "--population", "4", "--generations", "1",
+      "--out", "kernels", "--dump-grams", "grams"],
+     "wrote kernels/kernels.csv (2 rows)\n"),
+    (["kernels", "--dataset", "data/breast_cancer.csv", "--label-col", "diagnosis",
+      "--qubits", "3", "--combos", "3", "--classical-only", "--out", "classical"],
+     "wrote classical/kernels.csv (4 rows)\n"),
+    (["separability", "--dataset", "data/breast_cancer.csv", "--label-col",
+      "diagnosis", "--qubits", "4", "--combos", "5", "--hmi-mode", "mean",
+      "--out", "separability"],
+     "wrote separability/separability.csv (6 rows)\n"),
+    (["report", "combos"],
+     "spearman(si, cnot) = +1.0000 over 2 runs\n"
+     "spearman(hmi, cnot) = +1.0000 over 2 runs\n"
+     "spearman(dsi, cnot) = +1.0000 over 2 runs\n"),
+)
+# The leading 16 hex digits of the sha256 of every file the runs write;
+# manifest.json is hashed without its "created" line.
+_GOLDEN_DIGESTS = {
+    "classical/kernels.csv": "b02aef3c9bb28d28",
+    "combos/aggregate.csv": "4f8cdfbe50546657",
+    "combos/combo_11-25/history.csv": "eb9d45f08a5b4bc4",
+    "combos/combo_11-25/manifest.json": "3d9cedfc3994e2d3",
+    "combos/combo_11-25/pareto.json": "14bac07c7b560f69",
+    "combos/combo_11-25/separability.csv": "76334318302aa6f3",
+    "combos/combo_18-19/history.csv": "909f19001f087d1b",
+    "combos/combo_18-19/manifest.json": "a9a1b45d6abe8cab",
+    "combos/combo_18-19/pareto.json": "217e21746eab97b5",
+    "combos/combo_18-19/separability.csv": "d89541411f6b6b22",
+    "combos/correlations.csv": "cb422be00fc0d7af",
+    "combos/gate_means.csv": "bbda8ef06695eaf4",
+    "grams/gram_0-1_linear.csv": "f6d03961286fd117",
+    "grams/gram_0-1_poly.csv": "62154376e4475ae1",
+    "grams/gram_0-1_quantum.csv": "4a5c1d0e9fb917c9",
+    "grams/gram_0-1_rbf.csv": "2c563633ba7c56d4",
+    "grams/gram_0-1_sigmoid.csv": "33f53994101f7331",
+    "iris/history.csv": "7b36f06b0a062094",
+    "iris/manifest.json": "a1457077d9998bff",
+    "iris/pareto.json": "9bdb160fcf1d408c",
+    "iris/separability.csv": "3e992d3f5a0d7e5c",
+    "kernels/kernels.csv": "bcf45e513261be5e",
+    "separability/separability.csv": "f5cb192047bf24e7",
+}
+
+
+def test_outputs_byte_identical(tmp_path, monkeypatch, capsys):
+    # Pins every output byte, so a change meant to keep behaviour proves it.
+    (tmp_path / "data").symlink_to(REPO_ROOT / "data")
+    monkeypatch.chdir(tmp_path)
+    for argv, stdout in _GOLDEN_RUNS:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == stdout, argv
+    digests = {}
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_file() and not path.is_relative_to(tmp_path / "data"):
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                data = re.sub(rb'\n  "created": "[^"]*",', b"", data)
+            digests[path.relative_to(tmp_path).as_posix()] = (
+                hashlib.sha256(data).hexdigest()[:16])
+    assert digests == _GOLDEN_DIGESTS

@@ -1,10 +1,11 @@
 """CSV loading errors, scaling, splits and combo sampling."""
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from qkevo.data import (Dataset, SplitSpec, load_csv, make_split, minmax_scale,
+from qkevo.data import (Dataset, SplitSpec, _quotas, load_csv, make_split, minmax_scale,
                         sample_feature_combos, split, subset_features)
 from qkevo.errors import DataError
 
@@ -61,6 +62,15 @@ def test_load_error_unparseable(tmp_path):
     path = _write(tmp_path, "a,label\nfoo,x\n")
     with pytest.raises(DataError, match="unparseable"):
         load_csv(path, "label")
+
+
+@pytest.mark.parametrize("text, label, match", [
+    pytest.param("a,label\n", "label", "no data rows", id="header-only"),
+    pytest.param("a,label\n1,x\n", 2, "out of range", id="label-index"),
+    pytest.param("a,label\n1,x\nnan,y\n", "label", "non-finite", id="nan-feature")])
+def test_load_error(tmp_path, text, label, match):
+    with pytest.raises(DataError, match=match):
+        load_csv(_write(tmp_path, text), label)
 
 
 def test_load_breast_cancer(breast_cancer_csv):
@@ -167,6 +177,27 @@ def test_split_stratified_tiny_class():
     assert train.size == 40 and test.size == 10
     assert np.intersect1d(train, test).size == 0
     assert int(np.sum(ds.y[train] == 0)) == 2  # both tiny-class rows trained on
+
+
+def test_split_quotas_fit_every_class():
+    # ``split`` draws each class's quotas without checking them against the
+    # class's size: this invariant is what makes that safe.  Every split of
+    # every small class-count vector, and the Cancer and Iris counts.
+    cases = [(np.array(c), n_train, n_test)
+             for k, top in ((1, 12), (2, 8), (3, 5), (4, 3))
+             for c in product(range(1, top + 1), repeat=k)
+             for n_train in range(1, sum(c) + 1)
+             for n_test in range(sum(c) - n_train + 1)]
+    for c in ((357, 212), (50, 50, 50)):
+        cases += [(np.array(c), n_train, n_test) for n_train in range(1, sum(c) + 1)
+                  for left in [sum(c) - n_train]
+                  for n_test in {0, min(1, left), left // 2, left}]
+    for counts, n_train, n_test in cases:
+        train = _quotas(counts, n_train)
+        test = _quotas(counts - train, n_test) if n_test else np.zeros_like(train)
+        assert (train.sum(), test.sum()) == (n_train, n_test)
+        assert np.all(train >= 0) and np.all(test >= 0)
+        assert np.all(train + test <= counts), (counts, n_train, n_test)
 
 
 def test_make_split_shapes():

@@ -237,6 +237,7 @@ def test_classical_kernel_values():
     x = np.array([[1.0, 2.0]])
     y = np.array([[3.0, 4.0]])
     assert classical_kernel("linear", x, y)[0, 0] == 11.0
+    assert classical_kernel("linear", [1.0, 2.0], [3.0, 4.0]).tolist() == [[11.0]]
     assert abs(classical_kernel("rbf", x, x, gamma=0.5)[0, 0] - 1.0) < 1e-15
     # poly: (gamma x.y + coef0)^degree with x.y = 2
     got = classical_kernel("poly", np.array([[2.0]]), np.array([[1.0]]),
@@ -268,3 +269,5 @@ def test_classical_kernel_errors():
         classical_kernel("cubic", X, X)
     with pytest.raises(ValueError):
         classical_kernel("linear", np.ones((2, 2)), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        classical_kernel("rbf", [1.0, 2.0], np.ones((2, 3)))

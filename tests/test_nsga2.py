@@ -141,6 +141,10 @@ def test_config_validation():
         EvolveConfig(n_qubits=3, crossover_prob=1.2)
     with pytest.raises(ConfigError):
         EvolveConfig(n_qubits=3, generations=-1)
+    with pytest.raises(ConfigError, match="mutation_prob"):
+        EvolveConfig(n_qubits=3, mutation_prob=1.5)
+    with pytest.raises(ConfigError, match="tournament_size"):
+        EvolveConfig(n_qubits=3, tournament_size=0)
 
 
 def test_generations_zero_returns_initial_population():

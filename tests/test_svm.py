@@ -1,4 +1,7 @@
 """SMO solver feasibility, optimality and prediction behaviour."""
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -190,7 +193,32 @@ def test_model_reports_smo_iterations():
     K, y = _kkt_problems()[0]
     converged = train_dual(K, y)
     assert 3 < converged.iterations < TrainConfig.max_iterations
-    assert train_dual(K, y, TrainConfig(max_iterations=3)).iterations == 3
+    with pytest.warns(RuntimeWarning, match="max_iterations=3"):
+        assert train_dual(K, y, TrainConfig(max_iterations=3)).iterations == 3
+
+
+def test_capped_smo_warns_once_per_run():
+    # The warning text is the same for every solve of a run, so Python's
+    # default filter prints it once; a solve that converges prints nothing.
+    script = "\n".join((
+        "import numpy as np",
+        "from qkevo.svm import TrainConfig, train_dual",
+        "X = np.random.default_rng(0).normal(size=(12, 2))",
+        "y = np.where(X[:, 0] > 0, 1.0, -1.0)",
+        "assert train_dual(X @ X.T, y).iterations > 1",
+        "print('converged', flush=True)",
+        "for _ in range(3):",
+        "    train_dual(X @ X.T, y, TrainConfig(max_iterations=1))"))
+    src = str(REPO_ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "converged\n"
+    assert done.stderr.count("RuntimeWarning") == 1
+    assert "RuntimeWarning: SMO stopped at max_iterations=1 " in done.stderr
 
 
 def test_single_class_labels_raise():
@@ -203,6 +231,8 @@ def test_shape_validation():
         train_dual(np.ones((2, 3)), np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         train_dual(np.eye(2), np.array([1.0, 2.0]))  # labels not in {-1,+1}
+    with pytest.raises(ValueError, match="symmetric"):
+        train_dual(np.array([[1.0, 0.5], [0.4, 1.0]]), np.array([1.0, -1.0]))
     model = train_dual(np.array([[1.0, -1.0], [-1.0, 1.0]]),
                        np.array([-1.0, 1.0]))
     with pytest.raises(ValueError):

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, astuple, fields
@@ -312,13 +314,26 @@ def _separability_row(run: dict, combo, sub: Dataset) -> list:
             *compute_indexes(sub.X, sub.y, hmi_mode=run["hmi_mode"])]
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write a temp file beside ``path`` and rename it onto ``path``, so a
+    reader finds the old file or the whole new one, never part of one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(temp, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     """Every cell is written by ``csv``, which writes a float as its repr."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, buffer.getvalue())
 
 
 def _write_table(out: str, name: str, header: list[str], rows: list[list],
@@ -333,7 +348,7 @@ def _write_table(out: str, name: str, header: list[str], rows: list[list],
 
 
 def _write_json(path: Path, value) -> None:
-    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
 def _evolve_front(run: dict, tts) -> tuple[list[dict], list[GenerationStats]]:
@@ -351,7 +366,9 @@ def _evolve_front(run: dict, tts) -> tuple[list[dict], list[GenerationStats]]:
 
 def _write_run_outputs(out_dir: Path, run: dict, combo, sub: Dataset,
                        records: list[dict], history: list[GenerationStats]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """The manifest marks a finished run, so a rerun deletes the old one
+    first and writes its own last."""
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     _write_json(out_dir / "pareto.json", records)
     _write_csv(out_dir / "history.csv", [f.name for f in fields(GenerationStats)],
                [astuple(s) for s in history])

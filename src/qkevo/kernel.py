@@ -163,13 +163,29 @@ def prepare_states(template: FeatureMapTemplate, X) -> np.ndarray:
     return states.T
 
 
+@lru_cache(maxsize=2)
+def _cached_states(template: FeatureMapTemplate, shape: tuple, data: bytes) -> np.ndarray:
+    states = prepare_states(template, np.frombuffer(data).reshape(shape))
+    states.flags.writeable = False
+    return states
+
+
+def _states(template: FeatureMapTemplate, X) -> np.ndarray:
+    """``prepare_states(template, X)``, read-only, from a cache of the last two
+    (template, X) pairs.  The key holds X's bytes, not its identity, so X
+    changed in place is prepared again.  An evaluation asks for its training
+    states twice (Gram, then cross kernel), and the second time they are here."""
+    X = np.ascontiguousarray(X, dtype=float)
+    return _cached_states(template, X.shape, X.tobytes())
+
+
 def quantum_gram(template: FeatureMapTemplate, X) -> np.ndarray:
     """Fidelity Gram matrix of X under the template's feature map.
 
     The upper triangle is mirrored onto the lower one, so the result is
     exactly symmetric; the diagonal is 1 up to float rounding.
     """
-    states = prepare_states(template, X)
+    states = _states(template, X)
     overlaps = np.abs(states.conj() @ states.T) ** 2
     upper = np.triu(overlaps)
     return upper + np.triu(overlaps, 1).T
@@ -177,8 +193,8 @@ def quantum_gram(template: FeatureMapTemplate, X) -> np.ndarray:
 
 def quantum_cross(template: FeatureMapTemplate, X_test, X_train) -> np.ndarray:
     """Cross kernel: entry (i, j) is the fidelity of test row i vs train row j."""
-    s_test = prepare_states(template, X_test)
-    s_train = prepare_states(template, X_train)
+    s_test = _states(template, X_test)
+    s_train = _states(template, X_train)
     return np.abs(s_test.conj() @ s_train.T) ** 2
 
 

@@ -1,11 +1,13 @@
 """Gram/cross kernel construction and the classical comparison kernels."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qkevo.errors import ConfigError
 from qkevo.featuremap import (FeatureMapTemplate, Genome, bind, decode, genome_length,
                               qubit_pairs)
-from qkevo.kernel import (_layer_phases, classical_kernel, prepare_states,
+from qkevo.kernel import (_layer_phases, _states, classical_kernel, prepare_states,
                           quantum_cross, quantum_gram)
 from qkevo.simulator import MAX_QUBITS, fidelity_overlap, prepare_state
 
@@ -231,6 +233,81 @@ def test_prepare_states_rejects_qubits_beyond_limit():
     template = FeatureMapTemplate(n, (True,) * n, "Z", (), 1)
     with pytest.raises(ConfigError):
         prepare_states(template, np.zeros((2, n)))
+
+
+@st.composite
+def genome_bits(draw, n):
+    return draw(st.lists(st.integers(0, 1), min_size=genome_length(n),
+                         max_size=genome_length(n)))
+
+
+def data_matrices(n, max_rows=8):
+    return arrays(float, st.tuples(st.integers(1, max_rows), st.just(n)),
+                  elements=st.floats(-2 * np.pi, 2 * np.pi))
+
+
+def fresh_overlaps(template, X_a, X_b=None):
+    """|<a|b>|^2 from new prepare_states calls; with one matrix, the Gram's
+    upper triangle mirrored as quantum_gram does."""
+    a = prepare_states(template, X_a)
+    if X_b is None:
+        overlaps = np.abs(a.conj() @ a.T) ** 2
+        return np.triu(overlaps) + np.triu(overlaps, 1).T
+    return np.abs(a.conj() @ prepare_states(template, X_b).T) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gram_symmetric_unit_diagonal_psd_for_any_genome(data):
+    n = data.draw(st.integers(1, 4))
+    template = decode(Genome(n, data.draw(genome_bits(n))))
+    K = quantum_gram(template, data.draw(data_matrices(n)))
+    assert np.array_equal(K, K.T)
+    assert np.max(np.abs(np.diag(K) - 1.0)) <= 1e-10
+    assert np.linalg.eigvalsh(K).min() >= -1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_state_cache_is_transparent(data):
+    """Any interleaving of Gram and cross calls, over equal templates built
+    apart and data changed in place between calls, gives the bits that
+    fresh preparation gives."""
+    n = data.draw(st.integers(1, 4))
+    bits = data.draw(genome_bits(n))
+    templates = [decode(Genome(n, bits)), decode(Genome(n, bits)),
+                 decode(Genome(n, data.draw(genome_bits(n))))]
+    matrices = [data.draw(data_matrices(n)) for _ in range(3)]
+    index = st.integers(0, 2)
+    steps = st.one_of(st.tuples(st.just("gram"), index, index),
+                      st.tuples(st.just("cross"), index, index, index),
+                      st.tuples(st.just("edit"), index, st.floats(-np.pi, np.pi)))
+    for step in data.draw(st.lists(steps, min_size=1, max_size=12)):
+        if step[0] == "edit":
+            X = matrices[step[1]]
+            X[data.draw(st.integers(0, X.shape[0] - 1)),
+              data.draw(st.integers(0, n - 1))] = step[2]
+        elif step[0] == "gram":
+            t, X = templates[step[1]], matrices[step[2]]
+            assert np.array_equal(quantum_gram(t, X), fresh_overlaps(t, X))
+        else:
+            t, X_a, X_b = templates[step[1]], matrices[step[2]], matrices[step[3]]
+            assert np.array_equal(quantum_cross(t, X_a, X_b),
+                                  fresh_overlaps(t, X_a, X_b))
+
+
+def test_cached_states_are_read_only_and_prepare_states_stays_fresh():
+    rng = np.random.default_rng(27)
+    t = random_template(rng, 3)
+    X = rng.uniform(0, np.pi, size=(4, 3))
+    cached = _states(t, X)
+    assert _states(t, X.copy()) is cached
+    with pytest.raises(ValueError):
+        cached[0, 0] = 0.0
+    states = prepare_states(t, X)
+    assert states is not prepare_states(t, X)
+    states[0, 0] = 0.0
+    np.testing.assert_array_equal(states[1:], cached[1:])
 
 
 def test_classical_kernel_values():

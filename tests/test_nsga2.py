@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qkevo import kernel
 from qkevo.data import SplitSpec, TrainTestSplit, load_csv, make_split, \
     minmax_scale, subset_features
 from qkevo.errors import ConfigError, EvaluationError
@@ -119,6 +120,21 @@ def test_evaluate_deterministic():
     split = _iris_split()
     genome = Genome(2, [1, 0, 1, 0, 1, 0, 1])
     assert evaluate_genome(genome, split) == evaluate_genome(genome, split)
+
+
+def test_evaluation_prepares_train_and_test_rows_once(monkeypatch):
+    split = _iris_split()
+    prepare = kernel.prepare_states
+    rows = []
+
+    def counting(template, X):
+        rows.append(len(X))
+        return prepare(template, X)
+
+    monkeypatch.setattr(kernel, "prepare_states", counting)
+    kernel._cached_states.cache_clear()
+    svm_evaluator(split)(Genome(2, [1, 0, 1, 0, 1, 0, 1]))
+    assert rows == [len(split.X_train), len(split.X_test)] == [60, 30]
 
 
 def test_evaluate_single_class_train_raises():

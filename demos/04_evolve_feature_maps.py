@@ -5,6 +5,7 @@ import numpy as np
 from qkevo import (EarlyStop, EvolveConfig, SplitSpec, load_csv, make_split,
                    minmax_scale, subset_features, svm_evaluator)
 from qkevo.nsga2 import evolve
+from qkevo.report import pareto_records
 
 iris = load_csv("data/iris.csv", "species")
 scaled = minmax_scale(subset_features(iris, [0, 1, 2]), 0.0, np.pi)
@@ -24,14 +25,7 @@ for stats in result.history:
     print(f"  gen {stats.generation:2d}: {stats.best_accuracy:.3f} / "
           f"{stats.front_size:2d} / {stats.min_local:2d} / {stats.min_cnot}")
 
-print("\nPareto front (deduplicated):")
-seen = set()
-for ind in sorted(result.pareto_front,
-                  key=lambda i: (-i.objectives.accuracy, i.objectives.local_gates)):
-    key = ind.genome.to_string()
-    if key in seen:
-        continue
-    seen.add(key)
-    o = ind.objectives
-    print(f"  {key}  acc={o.accuracy:.3f}  local={o.local_gates:2d}  "
-          f"cnot={o.cnot_gates}  (first seen gen {result.first_seen[key]})")
+print("\nPareto front (deduplicated, best first):")
+for r in {r["genome"]: r for r in pareto_records(result)}.values():
+    print(f"  {r['genome']}  acc={r['accuracy']:.3f}  local={r['local_gates']:2d}  "
+          f"cnot={r['cnot_gates']}  (first seen gen {r['generation_found']})")

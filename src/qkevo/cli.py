@@ -18,11 +18,8 @@ metadata (including timestamps) lives only in manifest.json.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, astuple, fields
@@ -36,13 +33,12 @@ from .data import (Dataset, SplitSpec, check_scorable, load_csv, make_split,
 from .errors import ConfigError, DataError, TrainingError
 from .featuremap import Genome, decode, gate_counts
 from .kernel import CLASSICAL_KINDS, classical_kernel, quantum_gram
-from .nsga2 import (SENSE, EarlyStop, EvolveConfig, GenerationStats,
-                    evolve, svm_evaluator)
-from .report import best_pareto_record, correlation_rows, gate_means, scan_runs
+from .nsga2 import EarlyStop, EvolveConfig, evolve, svm_evaluator
+from .report import (SEPARABILITY_CSV, SEPARABILITY_HEADER, RunRecord,
+                     best_pareto_record, correlation_rows, gate_means,
+                     pareto_records, scan_runs, write_csv, write_run)
 from .separability import HMI_MODES, compute_indexes
 from .svm import TrainConfig, fit_score
-
-SEPARABILITY_HEADER = ["dataset", "features", "n_instances", "si", "hmi", "dsi"]
 
 
 class _Setting(NamedTuple):
@@ -314,28 +310,6 @@ def _separability_row(run: dict, combo, sub: Dataset) -> list:
             *compute_indexes(sub.X, sub.y, hmi_mode=run["hmi_mode"])]
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write a temp file beside ``path`` and rename it onto ``path``, so a
-    reader finds the old file or the whole new one, never part of one."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(temp, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Every cell is written by ``csv``, which writes a float as its repr."""
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(path, buffer.getvalue())
-
-
 def _write_table(out: str, name: str, header: list[str], rows: list[list],
                  mean_label: list) -> None:
     """Write ``rows`` and their mean row to ``out/name`` and say so.  The mean
@@ -343,61 +317,31 @@ def _write_table(out: str, name: str, header: list[str], rows: list[list],
     values = np.asarray([row[len(mean_label):] for row in rows], dtype=float)
     rows = [*rows, [*mean_label, *(float(col.mean()) for col in values.T)]]
     path = Path(out) / name
-    _write_csv(path, header, rows)
+    write_csv(path, header, rows)
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def _write_json(path: Path, value) -> None:
-    _write_text(path, json.dumps(value, indent=2, sort_keys=True) + "\n")
-
-
-def _evolve_front(run: dict, tts) -> tuple[list[dict], list[GenerationStats]]:
-    """Evolve feature maps on the split and rank the Pareto front: one record
-    per member, keyed by the Objectives field names, best first by objective
-    cost and then by genome.  Also returns the per-generation history."""
-    result = evolve(run["evolve"], svm_evaluator(tts, run["svm"]))
-    front = sorted(result.pareto_front, key=lambda ind: (
-        tuple(SENSE * ind.objectives), ind.genome.to_string()))
-    return [{"genome": ind.genome.to_string(), **ind.objectives._asdict(),
-             "rank": ind.rank,
-             "generation_found": result.first_seen[ind.genome.to_string()]}
-            for ind in front], result.history
-
-
-def _write_run_outputs(out_dir: Path, run: dict, combo, sub: Dataset,
-                       records: list[dict], history: list[GenerationStats]) -> None:
-    """The manifest marks a finished run, so a rerun deletes the old one
-    first and writes its own last."""
-    (out_dir / "manifest.json").unlink(missing_ok=True)
-    _write_json(out_dir / "pareto.json", records)
-    _write_csv(out_dir / "history.csv", [f.name for f in fields(GenerationStats)],
-               [astuple(s) for s in history])
-    _write_csv(out_dir / "separability.csv", SEPARABILITY_HEADER,
-               [_separability_row(run, combo, sub)])
-    manifest = {
-        "dataset": run["dataset.path"],
-        "label_column": run["dataset.label_column"],
-        "positive_class": run["dataset.positive_class"],
-        "features": list(combo),
-        "n_qubits": run["features.k"],
-        "split": asdict(run["split"]),
-        "scaling": run["scaling"],
-        "svm": asdict(run["svm"]),
-        "evolve": asdict(run["evolve"]),
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+def _manifest(run: dict, combo) -> dict:
+    """The run's config echo and the time its content was computed."""
+    return {"dataset": run["dataset.path"], "label_column": run["dataset.label_column"],
+            "positive_class": run["dataset.positive_class"], "features": list(combo),
+            "n_qubits": run["features.k"], "scaling": run["scaling"],
+            **{name: asdict(run[name]) for name in ("split", "svm", "evolve")},
+            "created": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
 
 
 def cmd_evolve(args) -> int:
+    """Each combo's run is written once all its content is computed."""
     run = _resolve(args)
     dataset, combos = _dataset_and_combos(run)
     base = Path(run["out"])
     for combo in combos:
         sub, tts = _prepared_split(run, dataset, combo)
-        records, history = _evolve_front(run, tts)
+        result = evolve(run["evolve"], svm_evaluator(tts, run["svm"]))
+        records = pareto_records(result)
         out_dir = base if len(combos) == 1 else base / f"combo_{_combo_label(combo)}"
-        _write_run_outputs(out_dir, run, combo, sub, records, history)
+        write_run(out_dir, records, result.history,
+                  _separability_row(run, combo, sub), _manifest(run, combo))
         best = best_pareto_record(records)
         print(f"{out_dir}: front size {len(records)}, "
               f"best accuracy {best['accuracy']:.4f} "
@@ -406,8 +350,8 @@ def cmd_evolve(args) -> int:
 
 
 def _dump_gram(dump_dir: str, combo, kind: str, gram: np.ndarray) -> None:
-    _write_csv(Path(dump_dir) / f"gram_{_combo_label(combo)}_{kind}.csv",
-               [f"c{i}" for i in range(gram.shape[1])], gram.tolist())
+    write_csv(Path(dump_dir) / f"gram_{_combo_label(combo)}_{kind}.csv",
+              [f"c{i}" for i in range(gram.shape[1])], gram.tolist())
 
 
 def cmd_kernels(args) -> int:
@@ -426,7 +370,8 @@ def cmd_kernels(args) -> int:
             if args.dump_grams:
                 _dump_gram(args.dump_grams, combo, kind, gram)
         if quantum:
-            best = best_pareto_record(_evolve_front(run, tts)[0])
+            best = best_pareto_record(pareto_records(
+                evolve(run["evolve"], svm_evaluator(tts, run["svm"]))))
             accs.append(best["accuracy"])
             if args.dump_grams:
                 template = decode(Genome.from_string(best["genome"], run["features.k"]))
@@ -442,7 +387,7 @@ def cmd_separability(args) -> int:
     dataset, combos = _dataset_and_combos(run)
     rows = [_separability_row(run, combo, subset_features(dataset, combo))
             for combo in combos]
-    _write_table(run["out"], "separability.csv", SEPARABILITY_HEADER, rows,
+    _write_table(run["out"], SEPARABILITY_CSV, SEPARABILITY_HEADER, rows,
                  [Path(run["dataset.path"]).stem, "mean", dataset.X.shape[0]])
     return 0
 
@@ -473,18 +418,14 @@ def cmd_report(args) -> int:
     if not records:
         raise DataError(f"{args.runs_dir}: nothing to aggregate")
     out_dir = Path(args.out) if args.out else Path(args.runs_dir)
-    _write_csv(out_dir / "aggregate.csv",
-               ["run", "n_qubits", "si", "hmi", "dsi", "best_accuracy",
-                "local_gates", "cnot_gates"],
-               [astuple(r) for r in records])
+    write_csv(out_dir / "aggregate.csv", [f.name for f in fields(RunRecord)],
+              [astuple(r) for r in records])
     corr = correlation_rows(records)
-    _write_csv(out_dir / "correlations.csv",
-               ["index", "spearman_vs_cnot", "n_runs"],
-               [[name, "n/a" if value is None else value, len(records)]
-                for name, value in corr])
-    _write_csv(out_dir / "gate_means.csv",
-               ["n_qubits", "mean_local", "mean_cnot", "n_runs"],
-               gate_means(records))
+    write_csv(out_dir / "correlations.csv", ["index", "spearman_vs_cnot", "n_runs"],
+              [[name, "n/a" if value is None else value, len(records)]
+               for name, value in corr])
+    write_csv(out_dir / "gate_means.csv", ["n_qubits", "mean_local", "mean_cnot", "n_runs"],
+              gate_means(records))
     for name, value in corr:
         shown = "n/a" if value is None else f"{value:+.4f}"
         print(f"spearman({name}, cnot) = {shown} over {len(records)} runs")

@@ -99,19 +99,21 @@ def load_csv(path, label_column, positive_class: str | None = None) -> Dataset:
     return Dataset(feature_names=feature_names, X=X, y=y, class_names=class_names)
 
 
-def minmax_scale(dataset: Dataset, lo: float = 0.0, hi: float = 1.0) -> Dataset:
-    """Affinely map each feature so min -> lo and max -> hi; constant
-    features map to lo."""
+def minmax_columns(X: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """Map each column affinely so min -> lo and max -> hi; constant ones -> lo."""
     if hi <= lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-    X = dataset.X
     col_lo = X.min(axis=0)
     span = X.max(axis=0) - col_lo
-    safe = np.where(span > 0, span, 1.0)
-    scaled = lo + (X - col_lo) / safe * (hi - lo)
+    scaled = lo + (X - col_lo) / np.where(span > 0, span, 1.0) * (hi - lo)
     scaled[:, span == 0] = lo
-    return Dataset(feature_names=list(dataset.feature_names), X=scaled,
-                   y=dataset.y.copy(), class_names=list(dataset.class_names))
+    return scaled
+
+
+def minmax_scale(dataset: Dataset, lo: float = 0.0, hi: float = 1.0) -> Dataset:
+    """The dataset with its features mapped by :func:`minmax_columns`."""
+    return Dataset(list(dataset.feature_names), minmax_columns(dataset.X, lo, hi),
+                   dataset.y.copy(), list(dataset.class_names))
 
 
 def subset_features(dataset: Dataset, indices) -> Dataset:

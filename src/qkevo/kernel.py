@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .featuremap import FeatureMapTemplate
+from .separability import squared_distances
 from .simulator import MAX_QUBITS
 
 CLASSICAL_KINDS = ("linear", "poly", "rbf", "sigmoid")
@@ -222,8 +223,4 @@ def classical_kernel(kind: str, X_a, X_b, gamma: float | None = None,
         return (gamma * (X_a @ X_b.T) + coef0) ** degree
     if kind == "sigmoid":
         return np.tanh(gamma * (X_a @ X_b.T) + coef0)
-    # rbf
-    sq_a = np.sum(X_a ** 2, axis=1)[:, None]
-    sq_b = np.sum(X_b ** 2, axis=1)[None, :]
-    d2 = np.maximum(sq_a + sq_b - 2.0 * (X_a @ X_b.T), 0.0)
-    return np.exp(-gamma * d2)
+    return np.exp(-gamma * squared_distances(X_a, X_b))  # rbf

@@ -1,23 +1,31 @@
-"""Aggregation of evolve-run outputs and rank correlations.
+"""The run directory: its writer, its reader, and the reports over runs.
 
-A completed run directory holds ``pareto.json``, ``history.csv``,
-``separability.csv`` and ``manifest.json`` as written by the ``evolve``
-subcommand.  The reporter joins each run's separability indexes with the
-CNOT count of its best-accuracy Pareto record, computes Spearman rank
+A run directory holds ``pareto.json``, ``history.csv``, ``separability.csv``
+and ``manifest.json``.  :func:`pareto_records` ranks an evolved front into
+records, :func:`write_run` writes a directory and :func:`load_run` reads one
+back.  The reporter joins each run's separability indexes with the CNOT
+count of its best-accuracy Pareto record, computes Spearman rank
 correlations of each index against the CNOT count, and averages gate
 counts per qubit size.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 from .featuremap import Genome, decode, gate_counts
+from .nsga2 import SENSE, EvolveResult, GenerationStats
+
+PARETO_JSON, HISTORY_CSV = "pareto.json", "history.csv"
+SEPARABILITY_CSV, MANIFEST_JSON = "separability.csv", "manifest.json"
+SEPARABILITY_HEADER = ["dataset", "features", "n_instances", "si", "hmi", "dsi"]
 
 
 def average_ranks(values) -> np.ndarray:
@@ -48,14 +56,26 @@ def spearman(a, b) -> float | None:
 
 @dataclass
 class RunRecord:
-    name: str
+    """One run's row of ``aggregate.csv``, whose header is the field names."""
+    run: str
     n_qubits: int
     si: float
     hmi: float
     dsi: float
-    accuracy: float
+    best_accuracy: float
     local_gates: int
     cnot_gates: int
+
+
+def pareto_records(result: EvolveResult) -> list[dict]:
+    """An evolved front as ``pareto.json`` records: one per member, keyed by
+    the Objectives field names, best first by objective cost, then genome."""
+    front = sorted(result.pareto_front, key=lambda ind: (
+        tuple(SENSE * ind.objectives), ind.genome.to_string()))
+    return [{"genome": ind.genome.to_string(), **ind.objectives._asdict(),
+             "rank": ind.rank,
+             "generation_found": result.first_seen[ind.genome.to_string()]}
+            for ind in front]
 
 
 def best_pareto_record(records: list[dict]) -> dict:
@@ -68,14 +88,49 @@ def best_pareto_record(records: list[dict]) -> dict:
                                        r["cnot_gates"], r["genome"]))
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write a temp file beside ``path`` and rename it onto ``path``, so a
+    reader finds the old file or the whole new one, never part of one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(temp, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
+def write_csv(path: Path, header: list[str], rows: list) -> None:
+    """Every cell is written by ``csv``, which writes a float as its repr."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows([header, *rows])
+    _write_text(path, buffer.getvalue())
+
+
+def _write_json(path: Path, value) -> None:
+    _write_text(path, json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
+def write_run(out_dir: Path, records: list[dict], history: list[GenerationStats],
+              separability_row: list, manifest: dict) -> None:
+    """Write one run directory from finished content.  The manifest marks a
+    finished run, so the old one goes first and the new one is written last."""
+    (out_dir / MANIFEST_JSON).unlink(missing_ok=True)
+    _write_json(out_dir / PARETO_JSON, records)
+    write_csv(out_dir / HISTORY_CSV, [f.name for f in fields(GenerationStats)],
+              [astuple(s) for s in history])
+    write_csv(out_dir / SEPARABILITY_CSV, SEPARABILITY_HEADER, [separability_row])
+    _write_json(out_dir / MANIFEST_JSON, manifest)
+
+
 def _read_separability_row(path: Path) -> tuple[float, float, float]:
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    data_rows = [r for r in rows if r.get("features") != "mean"]
-    if not data_rows:
-        raise DataError(f"{path}: no separability rows")
-    row = data_rows[0]
-    return float(row["si"]), float(row["hmi"]), float(row["dsi"])
+        reader = csv.DictReader(fh)
+        rows = [r for r in reader if r.get("features") != "mean"]
+    if reader.fieldnames != SEPARABILITY_HEADER or not rows:
+        raise DataError(f"{path}: expected a row under {','.join(SEPARABILITY_HEADER)}")
+    return float(rows[0]["si"]), float(rows[0]["hmi"]), float(rows[0]["dsi"])
 
 
 def _well_typed_record(record) -> bool:
@@ -89,12 +144,11 @@ def _well_typed_record(record) -> bool:
 
 def load_run(run_dir) -> RunRecord:
     """Read one finished run directory; raises DataError when anything is
-    missing or inconsistent.  ``evolve`` writes ``manifest.json`` last, so
-    a directory without one holds an unfinished run."""
+    missing or inconsistent.  ``write_run`` writes ``manifest.json`` last,
+    so a directory without one holds an unfinished run."""
     run_dir = Path(run_dir)
-    pareto_path = run_dir / "pareto.json"
-    manifest_path = run_dir / "manifest.json"
-    sep_path = run_dir / "separability.csv"
+    pareto_path, manifest_path, sep_path = (
+        run_dir / name for name in (PARETO_JSON, MANIFEST_JSON, SEPARABILITY_CSV))
     for path in (pareto_path, manifest_path, sep_path):
         if not path.is_file():
             raise DataError(f"{run_dir}: missing {path.name}")
@@ -114,11 +168,8 @@ def load_run(run_dir) -> RunRecord:
     counts = gate_counts(decode(Genome.from_string(best["genome"], n_qubits)))
     if counts.local != best["local_gates"] or counts.cnot != best["cnot_gates"]:
         raise DataError(f"{pareto_path}: gate counts disagree with genome")
-    si, hmi, dsi = _read_separability_row(sep_path)
-    return RunRecord(name=run_dir.name, n_qubits=n_qubits, si=si, hmi=hmi,
-                     dsi=dsi, accuracy=float(best["accuracy"]),
-                     local_gates=int(best["local_gates"]),
-                     cnot_gates=int(best["cnot_gates"]))
+    return RunRecord(run_dir.name, n_qubits, *_read_separability_row(sep_path),
+                     float(best["accuracy"]), best["local_gates"], best["cnot_gates"])
 
 
 def scan_runs(runs_dir) -> tuple[list[RunRecord], list[str]]:
@@ -130,7 +181,7 @@ def scan_runs(runs_dir) -> tuple[list[RunRecord], list[str]]:
     candidates = [runs_dir, *sorted(p for p in runs_dir.iterdir() if p.is_dir())]
     records, warnings = [], []
     for cand in candidates:
-        if not (cand / "pareto.json").is_file():
+        if not (cand / PARETO_JSON).is_file():
             continue
         try:
             records.append(load_run(cand))

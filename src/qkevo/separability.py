@@ -10,23 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import minmax_columns
+
 # Ways :func:`hypothesis_margin_index` aggregates the per-instance margins.
 HMI_MODES = ("sum", "mean")
 
 
-def _scale01(X: np.ndarray) -> np.ndarray:
-    lo = X.min(axis=0)
-    span = X.max(axis=0) - lo
-    span = np.where(span > 0, span, 1.0)  # constant features collapse to 0
-    return (X - lo) / span
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and ``b``, >= 0."""
+    sq_a = np.sum(a ** 2, axis=1)[:, None]
+    sq_b = np.sum(b ** 2, axis=1)[None, :]
+    return np.maximum(sq_a + sq_b - 2.0 * (a @ b.T), 0.0)
 
 
 def _cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between the rows of ``a`` and of ``b``."""
-    sq_a = np.sum(a ** 2, axis=1)[:, None]
-    sq_b = np.sum(b ** 2, axis=1)[None, :]
-    d2 = np.maximum(sq_a + sq_b - 2.0 * (a @ b.T), 0.0)
-    return np.sqrt(d2)
+    return np.sqrt(squared_distances(a, b))
 
 
 def _as_labeled(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +85,7 @@ def hypothesis_margin_index(X, y, mode: str = "sum") -> float:
     """
     X, y = _as_labeled(X, y)
     _check_hmi(y, mode)
-    return _hmi(_neighbour_distances(_scale01(X)), y, mode)
+    return _hmi(_neighbour_distances(minmax_columns(X)), y, mode)
 
 
 def ks_statistic(a, b) -> float:
@@ -153,7 +152,7 @@ def compute_indexes(X, y, hmi_mode: str = "sum") -> tuple[float, float, float]:
     """
     X, y = _as_labeled(X, y)
     _check_hmi(y, hmi_mode)  # two classes of two rows also cover SI's two rows
-    scaled = _scale01(X)
+    scaled = minmax_columns(X)
     dist = _neighbour_distances(scaled)
     si, hmi = _si(dist, y), _hmi(dist, y, hmi_mode)
     del dist  # released before DSI builds its own distance sets

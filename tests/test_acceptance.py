@@ -22,7 +22,7 @@ from qkevo.featuremap import Genome, bind, decode, genome_length
 from qkevo.kernel import CLASSICAL_KINDS, classical_kernel, quantum_gram
 from qkevo.nsga2 import (EvolveConfig, Objectives, evolve,
                          fast_nondominated_sort, svm_evaluator)
-from qkevo.report import best_pareto_record, spearman
+from qkevo.report import best_pareto_record, pareto_records, spearman
 from qkevo.separability import compute_indexes
 from qkevo.simulator import Hadamard, Rotation, fidelity_overlap, prepare_state
 from qkevo.svm import dual_objective, fit_score, train_dual
@@ -183,12 +183,7 @@ def _evolve_best(dataset, features, seed, svm_config=None, generations=30):
     config = EvolveConfig(n_qubits=len(features), population_size=32,
                           generations=generations, seed=seed)
     result = evolve(config, svm_evaluator(tts, svm_config))
-    records = [{"genome": ind.genome.to_string(),
-                "accuracy": ind.objectives.accuracy,
-                "local_gates": ind.objectives.local_gates,
-                "cnot_gates": ind.objectives.cnot_gates}
-               for ind in result.pareto_front]
-    return best_pareto_record(records), tts
+    return best_pareto_record(pareto_records(result)), tts
 
 
 def test_criterion_09_iris_evolution():

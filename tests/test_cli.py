@@ -6,13 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from qkevo.cli import _write_csv, main
+from qkevo.cli import main
 from qkevo.data import SplitSpec, load_csv, make_split, minmax_scale, subset_features
 from qkevo.errors import DataError
 from qkevo.featuremap import Genome, decode, gate_counts
 from qkevo.kernel import CLASSICAL_KINDS, classical_kernel
 from qkevo.nsga2 import Objectives, dominates
-from qkevo.report import best_pareto_record, load_run
+from qkevo.report import best_pareto_record, load_run, write_csv
 
 from conftest import REPO_ROOT
 
@@ -74,17 +74,14 @@ def test_evolve_deterministic_bytes(tmp_path):
     assert (out_a / "history.csv").read_bytes() == (out_b / "history.csv").read_bytes()
 
 
-def test_failed_rerun_leaves_no_manifest_of_the_earlier_run(tmp_path, monkeypatch):
-    # The rerun fails after pareto.json is written; report must not read the
-    # new front under the old run's manifest.
+def test_failed_rerun_leaves_no_manifest_of_the_earlier_run(tmp_path):
+    # The rerun fails inside the write, after pareto.json is written; report
+    # must not read the new front under the old run's manifest.
     out = tmp_path / "run"
     assert main(_evolve_args(out)) == 0
     load_run(out)
-
-    def failing(*args, **kwargs):
-        raise ValueError("indexes failed")
-
-    monkeypatch.setattr("qkevo.cli.compute_indexes", failing)
+    (out / "separability.csv").unlink()
+    (out / "separability.csv").mkdir()  # renaming a file onto a directory fails
     assert main(_evolve_args(out, seed="8")) == 3
     with pytest.raises(DataError, match="missing manifest.json"):
         load_run(out)
@@ -92,11 +89,25 @@ def test_failed_rerun_leaves_no_manifest_of_the_earlier_run(tmp_path, monkeypatc
                                                       "separability.csv"]
 
 
+def test_rerun_failing_before_the_write_leaves_the_earlier_run_whole(tmp_path,
+                                                                     monkeypatch):
+    def failing(*args, **kwargs):
+        raise ValueError("indexes failed")
+
+    out = tmp_path / "run"
+    assert main(_evolve_args(out)) == 0
+    before, record = {p.name: p.read_bytes() for p in out.iterdir()}, load_run(out)
+    monkeypatch.setattr("qkevo.cli.compute_indexes", failing)
+    assert main(_evolve_args(out, seed="8")) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before and len(before) == 4
+    assert load_run(out) == record
+
+
 def test_failed_write_leaves_no_temp_file(tmp_path):
     target = tmp_path / "table.csv"
     target.mkdir()  # renaming a file onto a directory fails
     with pytest.raises(OSError):
-        _write_csv(target, ["a"], [[1]])
+        write_csv(target, ["a"], [[1]])
     assert list(tmp_path.iterdir()) == [target]
 
 

@@ -7,8 +7,10 @@ from scipy import stats
 
 from qkevo.errors import DataError
 from qkevo.featuremap import Genome, decode, gate_counts, genome_length
-from qkevo.report import (average_ranks, best_pareto_record, correlation_rows,
-                          gate_means, load_run, scan_runs, spearman)
+from qkevo.nsga2 import EvolveConfig, Objectives, evolve
+from qkevo.report import (RunRecord, average_ranks, best_pareto_record,
+                          correlation_rows, gate_means, load_run, pareto_records,
+                          scan_runs, spearman, write_run)
 
 
 def test_average_ranks_with_ties():
@@ -59,22 +61,12 @@ def test_best_pareto_record_tie_breaking():
 
 def _write_run(run_dir, genome_str, n_qubits, accuracy, si, hmi, dsi,
                break_counts=False):
-    run_dir.mkdir(parents=True)
     counts = gate_counts(decode(Genome.from_string(genome_str, n_qubits)))
-    record = {
-        "genome": genome_str,
-        "accuracy": accuracy,
-        "local_gates": counts.local + (1 if break_counts else 0),
-        "cnot_gates": counts.cnot,
-        "rank": 1,
-        "generation_found": 0,
-    }
-    (run_dir / "pareto.json").write_text(json.dumps([record]), encoding="utf-8")
-    (run_dir / "separability.csv").write_text(
-        "dataset,features,n_instances,si,hmi,dsi\n"
-        f"toy,0;1,100,{si},{hmi},{dsi}\n", encoding="utf-8")
-    (run_dir / "manifest.json").write_text(
-        json.dumps({"n_qubits": n_qubits}), encoding="utf-8")
+    record = {"genome": genome_str, "accuracy": accuracy,
+              "local_gates": counts.local + (1 if break_counts else 0),
+              "cnot_gates": counts.cnot, "rank": 1, "generation_found": 0}
+    write_run(run_dir, [record], [], ["toy", "0;1", 100, si, hmi, dsi],
+              {"n_qubits": n_qubits})
 
 
 GENOMES_BY_CNOT = ["1110100", "1110101", "1110110"]  # depths 1, 2, 3 -> cnot 2, 4, 6
@@ -89,14 +81,29 @@ def test_load_run_round_trip(tmp_path):
 
 
 def test_scan_runs_skips_run_without_manifest(tmp_path):
-    # evolve writes manifest.json last, so without it the run is unfinished.
+    # write_run writes manifest.json last, so without it the run is unfinished.
     _write_run(tmp_path / "done", GENOMES_BY_CNOT[0], 2, 0.9, 0.5, 1.0, 0.4)
     _write_run(tmp_path / "unfinished", GENOMES_BY_CNOT[1], 2, 0.9, 0.5, 1.0, 0.4)
     (tmp_path / "unfinished" / "manifest.json").unlink()
     records, warnings = scan_runs(tmp_path)
-    assert [r.name for r in records] == ["done"]
+    assert [r.run for r in records] == ["done"]
     assert len(warnings) == 1
     assert "unfinished" in warnings[0] and "missing manifest.json" in warnings[0]
+
+
+def test_pareto_records_write_run_load_run_round_trip(tmp_path):
+    def surrogate(genome):  # load_run checks the gate counts against the genome
+        counts = gate_counts(decode(genome))
+        return Objectives(float(genome.bits.mean()), counts.local, counts.cnot)
+
+    result = evolve(EvolveConfig(n_qubits=3, population_size=8, generations=2, seed=3),
+                    surrogate)
+    records = pareto_records(result)
+    write_run(tmp_path / "run", records, result.history,
+              ["toy", "0;1;2", 150, 0.25, 1.5, 0.75], {"n_qubits": 3})
+    best = best_pareto_record(records)
+    assert load_run(tmp_path / "run") == RunRecord(
+        "run", 3, 0.25, 1.5, 0.75, best["accuracy"], best["local_gates"], best["cnot_gates"])
 
 
 def test_load_run_rejects_inconsistent_counts(tmp_path):
@@ -128,16 +135,18 @@ def test_scan_runs_skips_invalid(tmp_path):
         "record_number_genome": ("pareto.json", [{**_records()[0], "genome": 1110100}]),
         "record_float_local_gates": ("pareto.json", _records(local_gates=5.0)),
         "record_bool_cnot_gates": ("pareto.json", _records("0000000", cnot_gates=False)),
+        "separability_other_header": ("separability.csv", "si,hmi,dsi\n0.5,1.0,0.4\n"),
     }
     # The float and bool gate counts equal the genome's true counts (5 local,
     # 0 CNOT), so only their type is wrong.
     for name, (file_name, content) in broken_files.items():
         _write_run(tmp_path / name, GENOMES_BY_CNOT[0], 2, 0.9, 0.5, 1.0, 0.4)
-        (tmp_path / name / file_name).write_text(json.dumps(content), encoding="utf-8")
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name / file_name).write_text(text, encoding="utf-8")
         with pytest.raises(DataError):
             load_run(tmp_path / name)
     records, warnings = scan_runs(tmp_path)
-    assert [r.name for r in records] == ["good"]
+    assert [r.run for r in records] == ["good"]
     assert len(warnings) == 1 + len(broken_files)
 
 

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qkevo.data import load_csv, subset_features
-from qkevo.separability import (_scale01, compute_indexes, dsi, dsi_two_class,
+from qkevo.data import load_csv, minmax_scale, subset_features
+from qkevo.separability import (compute_indexes, dsi, dsi_two_class,
                                 hypothesis_margin_index, ks_statistic,
                                 separability_index)
 
@@ -253,7 +253,7 @@ def test_compute_indexes_golden_values(source, features, mode, want):
                            list(features))
     got = compute_indexes(data.X, data.y, hmi_mode=mode)
     assert got == want
-    scaled = _scale01(data.X)
+    scaled = minmax_scale(data, 0.0, 1.0).X
     assert got == (separability_index(scaled, data.y),
                    hypothesis_margin_index(scaled, data.y, mode=mode),
                    dsi(scaled, data.y))

@@ -4,13 +4,17 @@ Everything here is deliberately built a different way from the library:
 full 2^n x 2^n unitary products instead of in-place gate application,
 naive front peeling instead of Deb's bookkeeping, a per-value loop over
 the unique objective values instead of sorted-array crowding, random
-feasible duals instead of SMO, per-value counting instead of the merged
-KS sweep, whole-array masks instead of the solver's scalar SMO loop,
-one cos/sin of each amplitude's summed angle instead of per-term phase
-factors.  Slow and simple on purpose.
+feasible duals instead of SMO, per-value counting and per-value binary
+search instead of the pieced KS merge, whole n x n distance matrices and
+whole-sample merges (the separability code as it was before it was
+blocked, kept verbatim) instead of row blocks and pieces, whole-array
+masks instead of the solver's scalar SMO loop, one cos/sin of each
+amplitude's summed angle instead of per-term phase factors.  Slow and
+simple on purpose.
 """
 import numpy as np
 
+from qkevo.data import minmax_columns
 from qkevo.simulator import CNot, Hadamard, Rotation, rotation_matrix
 
 _I2 = np.eye(2, dtype=complex)
@@ -157,6 +161,98 @@ def ks_by_definition(a, b) -> float:
         below_b = sum(1 for x in b if x <= v)
         best = max(best, abs(below_a / len(a) - below_b / len(b)))
     return best
+
+
+def ks_by_searchsorted(a, b) -> float:
+    """Two-sample KS distance: #a<=v and #b<=v by binary search at every
+    distinct value v of either sample."""
+    a = np.sort(np.asarray(a, dtype=float).ravel())
+    b = np.sort(np.asarray(b, dtype=float).ravel())
+    values = np.union1d(a, b)
+    below_a = np.searchsorted(a, values, side="right")
+    below_b = np.searchsorted(b, values, side="right")
+    return float(np.max(np.abs(below_a / a.size - below_b / b.size)))
+
+
+# The separability indexes on whole n x n matrices, verbatim from before the
+# row-blocked rewrite; the rewrite must return the same floats bit for bit.
+def _full_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    sq_a = np.sum(a ** 2, axis=1)[:, None]
+    sq_b = np.sum(b ** 2, axis=1)[None, :]
+    return np.maximum(sq_a + sq_b - 2.0 * (a @ b.T), 0.0)
+
+
+def _full_cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sqrt(_full_squared_distances(a, b))
+
+
+def _full_neighbour_distances(X: np.ndarray) -> np.ndarray:
+    dist = _full_cross_distances(X, X)
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+def _full_si(dist: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean(y[dist.argmin(axis=1)] == y))
+
+
+def _full_hmi(dist: np.ndarray, y: np.ndarray, mode: str) -> float:
+    same = y[:, None] == y[None, :]
+    near_hit = np.where(same, dist, np.inf).min(axis=1)
+    near_miss = np.where(same, np.inf, dist).min(axis=1)
+    theta = 0.5 * (near_miss - near_hit)
+    return float(theta.sum() if mode == "sum" else theta.mean())
+
+
+def ks_by_merged_sweep(a, b) -> float:
+    """Two-sample KS distance from one stable merge of the whole samples."""
+    a = np.sort(np.asarray(a, dtype=float).ravel())
+    b = np.sort(np.asarray(b, dtype=float).ravel())
+    if a.size == 0 or b.size == 0:
+        raise ValueError("KS statistic needs two non-empty samples")
+    merged = np.concatenate([a, b])
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    last = np.append(merged[1:] != merged[:-1], True)
+    del merged
+    count_a = np.cumsum(order < a.size)[last]
+    del order
+    count_b = np.flatnonzero(last) + 1 - count_a
+    return float(np.max(np.abs(count_a / a.size - count_b / b.size)))
+
+
+def _full_intra_distances(points: np.ndarray) -> np.ndarray:
+    n = points.shape[0]
+    return _full_cross_distances(points, points)[np.triu(np.ones((n, n), dtype=bool), k=1)]
+
+
+def _full_dsi_two_class(x_points, y_points) -> float:
+    x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
+    y_points = np.atleast_2d(np.asarray(y_points, dtype=float))
+    bcd = _full_cross_distances(x_points, y_points)
+    s_x = ks_by_merged_sweep(_full_intra_distances(x_points), bcd)
+    s_y = ks_by_merged_sweep(_full_intra_distances(y_points), bcd)
+    return 0.5 * (s_x + s_y)
+
+
+def _full_dsi(X, y) -> float:
+    classes = np.unique(y)
+    if classes.size == 2:
+        return _full_dsi_two_class(X[y == classes[0]], X[y == classes[1]])
+    values = [_full_dsi_two_class(X[y == c], X[y != c]) for c in classes]
+    return float(np.mean(values))
+
+
+def indexes_by_full_matrix(X, y, hmi_mode: str = "sum") -> tuple[float, float, float]:
+    """(SI, HMI, DSI) on features min-max scaled to [0, 1], from one whole
+    n x n distance matrix and whole-sample KS merges."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    scaled = minmax_columns(X)
+    dist = _full_neighbour_distances(scaled)
+    si, hmi = _full_si(dist, y), _full_hmi(dist, y, hmi_mode)
+    del dist
+    return si, hmi, _full_dsi(scaled, y)
 
 
 def random_feasible_alphas(rng: np.random.Generator, y: np.ndarray, C: float,

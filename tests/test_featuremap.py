@@ -1,6 +1,7 @@
 """Genome layout, decoding, binding and gate counting."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkevo.errors import ConfigError
 from qkevo.featuremap import (GateCounts, Genome, bind, decode, gate_counts,
@@ -81,12 +82,15 @@ def test_genome_validation():
         Genome(2, np.zeros((1, 7), dtype=int))  # not one-dimensional
 
 
-def test_genome_string_round_trip():
-    rng = np.random.default_rng(2)
-    for n in (1, 2, 3, 5):
-        bits = rng.integers(0, 2, size=genome_length(n))
-        g = Genome(n, bits)
-        assert np.array_equal(Genome.from_string(g.to_string(), n).bits, g.bits)
+@settings(deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.text("01", min_size=genome_length(n), max_size=genome_length(n)))))
+def test_genome_string_round_trip(case):
+    n, text = case
+    g = Genome.from_string(text, n)
+    assert g.to_string() == text
+    assert np.array_equal(g.bits, [int(c) for c in text])
+    assert np.array_equal(Genome.from_string(g.to_string(), n).bits, g.bits)
 
 
 def test_decode_deterministic_on_equal_genomes():

@@ -1,6 +1,7 @@
 """Domination, sorting, crowding, evaluation and the evolve loop."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkevo import kernel
 from qkevo.data import SplitSpec, TrainTestSplit, load_csv, make_split, \
@@ -46,16 +47,13 @@ def test_sort_empty_population_rejected():
         fast_nondominated_sort([])
 
 
-def test_sort_matches_bruteforce_peeling():
-    rng = np.random.default_rng(41)
-    for _ in range(30):
-        n = int(rng.integers(2, 60))
-        objs = [Objectives(float(rng.integers(0, 6)) / 5.0,
-                           int(rng.integers(0, 6)), int(rng.integers(0, 6)))
-                for _ in range(n)]
-        got = fast_nondominated_sort(objs)
-        want = peel_fronts(objs)
-        assert [sorted(f) for f in got] == [sorted(f) for f in want]
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+                min_size=1, max_size=60))
+def test_sort_matches_bruteforce_peeling(rows):
+    # Both list each front in ascending index order.
+    objs = [Objectives(accuracy / 5.0, local, cnot) for accuracy, local, cnot in rows]
+    assert fast_nondominated_sort(objs) == peel_fronts(objs)
 
 
 def test_crowding_front_of_two():

@@ -1,15 +1,19 @@
-"""SI, HMI, KS and DSI against hand values and scipy's KS as oracle."""
+"""SI, HMI, KS and DSI against hand values, scipy's KS and the
+full-matrix code in ``oracles`` as oracles."""
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from qkevo.data import load_csv, minmax_scale, subset_features
-from qkevo.separability import (compute_indexes, dsi, dsi_two_class,
+from qkevo.data import load_csv, minmax_scale, sample_feature_combos, subset_features
+from qkevo.separability import (KS_PIECE, compute_indexes, dsi, dsi_two_class,
                                 hypothesis_margin_index, ks_statistic,
                                 separability_index)
 
 from conftest import REPO_ROOT
-from oracles import ks_by_definition
+from oracles import indexes_by_full_matrix, ks_by_definition, ks_by_searchsorted
 
 
 def _two_far_clusters(rng, n_per=10, gap=50.0):
@@ -139,6 +143,49 @@ def test_ks_matches_definition_with_ties():
         assert ks_statistic(b, a) == ks_by_definition(b, a)
 
 
+def test_ks_across_piece_boundaries():
+    # Samples several pieces long, drawn from few values, so tie runs far
+    # longer than a piece straddle the piece edges and most values occur in
+    # both samples; one pair is lopsided so one sample runs out first.  With
+    # equal ranges the true distance is small, so a count taken inside a
+    # tie run would be the largest.
+    rng = np.random.default_rng(64)
+    sizes = [(3 * KS_PIECE + 17, 4 * KS_PIECE - 5), (5 * KS_PIECE, 2 * KS_PIECE + 1),
+             (6 * KS_PIECE + 3, KS_PIECE // 3)]
+    for (size_a, size_b), top, shift in itertools.product(sizes, (7, 60), (0, 2)):
+        a = rng.integers(0, top, size=size_a)
+        b = rng.integers(shift, top + shift, size=size_b)
+        cut = np.sort(a)
+        assert cut[KS_PIECE - 1] == cut[KS_PIECE]  # a tie run straddles the first edge
+        want = ks_by_searchsorted(a, b)
+        assert ks_statistic(a, b) == want
+        assert ks_statistic(b, a) == ks_by_searchsorted(b, a) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda X, y: compute_indexes(X, y),
+    lambda X, y: separability_index(X, y),
+    lambda X, y: hypothesis_margin_index(X, y),
+    lambda X, y: dsi(X, y),
+    lambda X, y: dsi_two_class(X[y == 0], X[y == 1]),
+], ids=["compute_indexes", "separability_index", "hypothesis_margin_index", "dsi",
+        "dsi_two_class"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(call, bad):
+    X = np.arange(12.0).reshape(6, 2)
+    y = np.array([0, 0, 0, 1, 1, 1])
+    X[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        call(X, y)
+
+
+@pytest.mark.parametrize("a, b", [([np.nan, 1.0], [1.0, 2.0]), ([1.0, 2.0], [np.inf]),
+                                  ([-np.inf, 0.0], [0.0])])
+def test_ks_non_finite_rejected(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        ks_statistic(a, b)
+
+
 def test_dsi_two_class_disjoint_supports():
     eps = 1e-4
     X = np.array([[0.0, 0.0], [0.0, eps]])
@@ -257,3 +304,34 @@ def test_compute_indexes_golden_values(source, features, mode, want):
     assert got == (separability_index(scaled, data.y),
                    hypothesis_margin_index(scaled, data.y, mode=mode),
                    dsi(scaled, data.y))
+
+
+def _cancer():
+    return load_csv(REPO_ROOT / "data" / "breast_cancer.csv", "diagnosis")
+
+
+def test_compute_indexes_equal_full_matrix_oracle():
+    cancer = _cancer()
+    iris = load_csv(REPO_ROOT / "data" / "iris.csv", "species")
+    cases = [(cancer, combo) for k in range(1, 9)
+             for combo in sample_feature_combos(30, k, 3, seed=70 + k)]
+    cases += [(iris, combo) for r in range(1, 5)
+              for combo in itertools.combinations(range(4), r)]
+    for data, combo in cases:
+        part = subset_features(data, list(combo))
+        for mode in ("sum", "mean"):
+            assert (compute_indexes(part.X, part.y, hmi_mode=mode)
+                    == indexes_by_full_matrix(part.X, part.y, hmi_mode=mode)), (combo, mode)
+
+
+def test_compute_indexes_holds_less_than_two_distance_matrices():
+    part = subset_features(_cancer(), [0, 5, 10, 15, 20, 25])
+    n = part.X.shape[0]
+    tracemalloc.start()
+    try:
+        compute_indexes(part.X, part.y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 569
+    assert peak < 2 * n * n * 8

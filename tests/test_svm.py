@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qkevo.data import SplitSpec, load_csv, make_split, minmax_scale, subset_features
 from qkevo.errors import TrainingError
@@ -128,20 +130,36 @@ def _kkt_problems():
     return problems
 
 
+def _assert_kkt(K, y, config):
+    model = train_dual(K, y, config)
+    assert np.all(model.alphas >= 0.0) and np.all(model.alphas <= config.C)
+    margins = y * decision_values(model, K)
+    for i in range(y.size):
+        if model.alphas[i] < 1e-8:
+            assert margins[i] >= 1.0 - 2 * config.tolerance
+        elif model.alphas[i] > config.C - 1e-8:
+            assert margins[i] <= 1.0 + 2 * config.tolerance
+        else:
+            assert abs(margins[i] - 1.0) <= 2 * config.tolerance
+
+
 def test_kkt_audit():
-    config = TrainConfig()
     for K, y in _kkt_problems():
-        n = y.size
-        model = train_dual(K, y, config)
-        assert np.all(model.alphas >= 0.0) and np.all(model.alphas <= config.C)
-        margins = y * decision_values(model, K)
-        for i in range(n):
-            if model.alphas[i] < 1e-8:
-                assert margins[i] >= 1.0 - 2 * config.tolerance
-            elif model.alphas[i] > config.C - 1e-8:
-                assert margins[i] <= 1.0 + 2 * config.tolerance
-            else:
-                assert abs(margins[i] - 1.0) <= 2 * config.tolerance
+        _assert_kkt(K, y, TrainConfig())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kkt_holds_for_any_rbf_problem(data):
+    n = data.draw(st.integers(2, 16))
+    X = data.draw(arrays(float, (n, data.draw(st.integers(1, 3))),
+                         elements=st.floats(-3.0, 3.0)))
+    signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n)
+                      .filter(lambda labels: len(set(labels)) == 2))
+    config = TrainConfig(C=data.draw(st.sampled_from((0.1, 1.0, 10.0))),
+                         tolerance=data.draw(st.sampled_from((1e-3, 1e-5))))
+    _assert_kkt(classical_kernel("rbf", X, X, gamma=data.draw(st.floats(0.05, 5.0))),
+                np.array(signs), config)
 
 
 def _quantum_pair_problems():

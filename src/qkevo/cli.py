@@ -255,6 +255,9 @@ def _resolve(args) -> dict:
     features, n_qubits = run["features.list"], run["features.k"]
     if features is not None and run["features.combos"] is not None:
         raise ConfigError("choose either explicit --features or --combos, not both")
+    if run["features.combos"] is None and (
+            getattr(args, "features.seed") is not None or "features.seed" in in_file):
+        raise ConfigError("--combo-seed (features.seed) samples combos: it needs --combos")
     if features is not None:
         if n_qubits is not None and n_qubits != len(features):
             raise ConfigError(

@@ -101,8 +101,8 @@ def load_csv(path, label_column, positive_class: str | None = None) -> Dataset:
 
 def minmax_columns(X: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """Map each column affinely so min -> lo and max -> hi; constant ones -> lo."""
-    if hi <= lo:
-        raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     col_lo = X.min(axis=0)
     span = X.max(axis=0) - col_lo
     scaled = lo + (X - col_lo) / np.where(span > 0, span, 1.0) * (hi - lo)

@@ -10,6 +10,7 @@ crossover, mutation), so a run is exactly reproducible from its config.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -235,21 +236,26 @@ def _refill(merged: list[Individual], pop_size: int) -> list[Individual]:
 def evolve(config: EvolveConfig,
            evaluator: Callable[[Genome], Objectives]) -> EvolveResult:
     """Run the NSGA-II loop and return the final population, the rank-1
-    front, per-generation history and first-seen generations."""
+    front, per-generation history and first-seen generations.  Warns once
+    with a ``RuntimeWarning`` when any evaluation was demoted."""
     length = genome_length(config.n_qubits)
     mutation_prob = (config.mutation_prob if config.mutation_prob is not None
                      else 1.0 / length)
     rng = np.random.default_rng(config.seed)
     early = config.early_stop
+    evaluations = demoted = 0
 
     def scored(bit_rows: np.ndarray) -> list[Individual]:
         # A genome whose evaluation fails gets accuracy 0 and its own gate counts.
+        nonlocal evaluations, demoted
         scored_pop = []
         for bits in bit_rows:
             genome = Genome(config.n_qubits, bits.copy())
+            evaluations += 1
             try:
                 objectives = evaluator(genome)
             except EvaluationError:
+                demoted += 1
                 counts = gate_counts(decode(genome))
                 objectives = Objectives(0.0, counts.local, counts.cnot)
             scored_pop.append(Individual(genome, objectives))
@@ -285,6 +291,9 @@ def evolve(config: EvolveConfig,
             if ind.rank == 1:
                 first_seen.setdefault(ind.genome.to_string(), gen)
 
+    if demoted:
+        warnings.warn(f"{demoted} of {evaluations} evaluations raised EvaluationError "
+                      "and were scored with accuracy 0", RuntimeWarning)
     pareto = [ind for ind in pop if ind.rank == 1]
     return EvolveResult(population=pop, pareto_front=pareto, history=history,
                         first_seen=first_seen)

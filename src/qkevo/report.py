@@ -2,11 +2,11 @@
 
 A run directory holds ``pareto.json``, ``history.csv``, ``separability.csv``
 and ``manifest.json``.  :func:`pareto_records` ranks an evolved front into
-records, :func:`write_run` writes a directory and :func:`load_run` reads one
-back.  The reporter joins each run's separability indexes with the CNOT
-count of its best-accuracy Pareto record, computes Spearman rank
-correlations of each index against the CNOT count, and averages gate
-counts per qubit size.
+records, best first by the rule of :func:`best_pareto_record`;
+:func:`write_run` writes a directory and :func:`load_run` reads one back.
+The reporter joins each run's separability indexes with the CNOT count of
+its best Pareto record, computes Spearman rank correlations of each index
+against the CNOT count, and averages gate counts per qubit size.
 """
 from __future__ import annotations
 
@@ -21,11 +21,12 @@ import numpy as np
 
 from .errors import DataError
 from .featuremap import Genome, decode, gate_counts
-from .nsga2 import SENSE, EvolveResult, GenerationStats
+from .nsga2 import EvolveResult, GenerationStats
 
 PARETO_JSON, HISTORY_CSV = "pareto.json", "history.csv"
 SEPARABILITY_CSV, MANIFEST_JSON = "separability.csv", "manifest.json"
-SEPARABILITY_HEADER = ["dataset", "features", "n_instances", "si", "hmi", "dsi"]
+INDEXES = ("si", "hmi", "dsi")  # compute_indexes' order; RunRecord has a field each
+SEPARABILITY_HEADER = ["dataset", "features", "n_instances", *INDEXES]
 
 
 def average_ranks(values) -> np.ndarray:
@@ -67,25 +68,26 @@ class RunRecord:
     cnot_gates: int
 
 
+def _best_first(record: dict) -> tuple:
+    """The one ranking: highest accuracy, fewest total gates, fewest CNOTs, genome."""
+    return (-record["accuracy"], record["local_gates"] + record["cnot_gates"],
+            record["cnot_gates"], record["genome"])
+
+
 def pareto_records(result: EvolveResult) -> list[dict]:
     """An evolved front as ``pareto.json`` records: one per member, keyed by
-    the Objectives field names, best first by objective cost, then genome."""
-    front = sorted(result.pareto_front, key=lambda ind: (
-        tuple(SENSE * ind.objectives), ind.genome.to_string()))
-    return [{"genome": ind.genome.to_string(), **ind.objectives._asdict(),
-             "rank": ind.rank,
-             "generation_found": result.first_seen[ind.genome.to_string()]}
-            for ind in front]
+    the Objectives field names, best first, so the first is the best record."""
+    return sorted(({"genome": ind.genome.to_string(), **ind.objectives._asdict(),
+                    "rank": ind.rank,
+                    "generation_found": result.first_seen[ind.genome.to_string()]}
+                   for ind in result.pareto_front), key=_best_first)
 
 
 def best_pareto_record(records: list[dict]) -> dict:
-    """Highest accuracy; ties -> fewer total gates, then fewer CNOTs,
-    then genome string."""
+    """The first record under :func:`_best_first`."""
     if not records:
         raise DataError("empty pareto archive")
-    return min(records, key=lambda r: (-r["accuracy"],
-                                       r["local_gates"] + r["cnot_gates"],
-                                       r["cnot_gates"], r["genome"]))
+    return min(records, key=_best_first)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -124,13 +126,13 @@ def write_run(out_dir: Path, records: list[dict], history: list[GenerationStats]
     _write_json(out_dir / MANIFEST_JSON, manifest)
 
 
-def _read_separability_row(path: Path) -> tuple[float, float, float]:
+def _read_separability_row(path: Path) -> dict[str, float]:
+    """The indexes of the one row ``write_run`` wrote; a table of combos has more."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = [r for r in reader if r.get("features") != "mean"]
-    if reader.fieldnames != SEPARABILITY_HEADER or not rows:
-        raise DataError(f"{path}: expected a row under {','.join(SEPARABILITY_HEADER)}")
-    return float(rows[0]["si"]), float(rows[0]["hmi"]), float(rows[0]["dsi"])
+        rows = list(csv.reader(fh))
+    if rows[:1] != [SEPARABILITY_HEADER] or [len(r) for r in rows[1:]] != [len(rows[0])]:
+        raise DataError(f"{path}: expected one row under {','.join(SEPARABILITY_HEADER)}")
+    return {name: float(value) for name, value in zip(*rows) if name in INDEXES}
 
 
 def _well_typed_record(record) -> bool:
@@ -168,8 +170,9 @@ def load_run(run_dir) -> RunRecord:
     counts = gate_counts(decode(Genome.from_string(best["genome"], n_qubits)))
     if counts.local != best["local_gates"] or counts.cnot != best["cnot_gates"]:
         raise DataError(f"{pareto_path}: gate counts disagree with genome")
-    return RunRecord(run_dir.name, n_qubits, *_read_separability_row(sep_path),
-                     float(best["accuracy"]), best["local_gates"], best["cnot_gates"])
+    return RunRecord(run_dir.name, n_qubits, **_read_separability_row(sep_path),
+                     best_accuracy=float(best["accuracy"]),
+                     local_gates=best["local_gates"], cnot_gates=best["cnot_gates"])
 
 
 def scan_runs(runs_dir) -> tuple[list[RunRecord], list[str]]:
@@ -178,11 +181,9 @@ def scan_runs(runs_dir) -> tuple[list[RunRecord], list[str]]:
     runs_dir = Path(runs_dir)
     if not runs_dir.is_dir():
         raise DataError(f"{runs_dir}: not a directory")
-    candidates = [runs_dir, *sorted(p for p in runs_dir.iterdir() if p.is_dir())]
+    candidates = [runs_dir, *sorted(runs_dir.iterdir())]
     records, warnings = [], []
-    for cand in candidates:
-        if not (cand / PARETO_JSON).is_file():
-            continue
+    for cand in (c for c in candidates if (c / PARETO_JSON).is_file()):
         try:
             records.append(load_run(cand))
         except (DataError, KeyError, ValueError) as exc:
@@ -192,9 +193,8 @@ def scan_runs(runs_dir) -> tuple[list[RunRecord], list[str]]:
 
 def correlation_rows(records: list[RunRecord]) -> list[tuple[str, float | None]]:
     cnot = [r.cnot_gates for r in records]
-    return [("si", spearman([r.si for r in records], cnot)),
-            ("hmi", spearman([r.hmi for r in records], cnot)),
-            ("dsi", spearman([r.dsi for r in records], cnot))]
+    return [(name, spearman([getattr(r, name) for r in records], cnot))
+            for name in INDEXES]
 
 
 def gate_means(records: list[RunRecord]) -> list[tuple[int, float, float, int]]:

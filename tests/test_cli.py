@@ -261,6 +261,18 @@ def _table_args(command, out, config):
             "--train-size", "60", "--test-size", "30", *only]
 
 
+@pytest.mark.parametrize("command", ["evolve", "kernels", "separability"])
+@pytest.mark.parametrize("flags, cfg", [
+    pytest.param(("--combo-seed", "3"), {}, id="flag"),
+    pytest.param((), {"features": {"seed": 3}}, id="config")])
+def test_combo_seed_without_combos_is_usage_error(tmp_path, capsys, command, flags, cfg):
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    config.write_text(json.dumps(cfg))
+    assert main([*_table_args(command, out, config), *flags]) == 1
+    assert "needs --combos" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, cfg", [
     pytest.param("evolve", {"split": 5}, id="evolve-split"),
     pytest.param("evolve", {"evolve": {"early_stop": 3}}, id="evolve-early_stop"),
@@ -567,6 +579,22 @@ def test_report_on_synthetic_runs(tmp_path, capsys):
     assert len(agg) == 4
     corr = (runs / "correlations.csv").read_text()
     assert "-1.0" in corr and "n/a" not in corr.split("\n")[3]
+
+
+def test_report_skips_a_run_under_a_separability_table(tmp_path, capsys):
+    """``separability --combos`` into a run directory replaces the run's one
+    row with a table of other combos; ``report`` must not join either."""
+    run = tmp_path / "run"
+    cancer = ["--dataset", CANCER, "--label-col", "diagnosis",
+              "--positive-class", "malignant", "--out", str(run)]
+    assert main(["evolve", *cancer, "--features", "3,12", "--population", "4",
+                 "--generations", "0"]) == 0
+    assert main(["separability", *cancer, "--qubits", "2", "--combos", "3"]) == 0
+    capsys.readouterr()
+    assert main(["report", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"warning: skipping {run}: ") and "expected one row" in err
+    assert not (run / "aggregate.csv").exists()
 
 
 def test_report_empty_directory(tmp_path):

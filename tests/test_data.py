@@ -5,8 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qkevo.data import (Dataset, SplitSpec, _quotas, load_csv, make_split, minmax_scale,
-                        sample_feature_combos, split, subset_features)
+from qkevo.data import (Dataset, SplitSpec, _quotas, load_csv, make_split, minmax_columns,
+                        minmax_scale, sample_feature_combos, split, subset_features)
 from qkevo.errors import DataError
 
 
@@ -116,6 +116,13 @@ def test_minmax_scale_constant_column():
 def test_minmax_scale_bad_range():
     with pytest.raises(ValueError):
         minmax_scale(_toy([[1.0]]), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                    (0.0, math.nan), (-math.inf, math.inf)])
+def test_minmax_columns_rejects_non_finite_bounds(lo, hi):
+    with pytest.raises(ValueError, match="finite"):
+        minmax_columns(np.array([[0.0, 1.0], [1.0, 2.0]]), lo, hi)
 
 
 def _labeled(n_a, n_b):

@@ -1,4 +1,6 @@
 """Domination, sorting, crowding, evaluation and the evolve loop."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,20 +206,27 @@ def test_surrogate_trajectory_golden():
         min(o.local_gates for o in front), min(o.cnot_gates for o in front))
 
 
+def _flaky(genome):
+    """Demotes every genome with its first and last bit set."""
+    if genome.bits[0] == 1 and genome.bits[-1] == 1:
+        raise EvaluationError("first and last bit set")
+    counts = gate_counts(decode(genome))
+    return Objectives(float(np.mean(genome.bits)), counts.local, counts.cnot)
+
+
+def _demoting_config(early=None):
+    return EvolveConfig(n_qubits=4, population_size=10, generations=40,
+                        crossover_prob=0.5, tournament_size=3, seed=5,
+                        early_stop=early or EarlyStop())
+
+
 def test_demoting_trajectory_golden():
     """Paths the first golden run does not take, pinned across code versions:
     crossover that sometimes does not happen, three-way tournaments, demoted
     evaluations, and both early-stop rules."""
-    def flaky(genome):
-        if genome.bits[0] == 1 and genome.bits[-1] == 1:
-            raise EvaluationError("first and last bit set")
-        counts = gate_counts(decode(genome))
-        return Objectives(float(np.mean(genome.bits)), counts.local, counts.cnot)
-
     def run(early):
-        return evolve(EvolveConfig(n_qubits=4, population_size=10, generations=40,
-                                   crossover_prob=0.5, tournament_size=3, seed=5,
-                                   early_stop=early), flaky)
+        with pytest.warns(RuntimeWarning, match="raised EvaluationError"):
+            return evolve(_demoting_config(early), _flaky)
 
     def population(res):
         return [(i.genome.to_string(), tuple(i.objectives), i.rank) for i in res.population]
@@ -249,6 +258,30 @@ def test_demoting_trajectory_golden():
         ("11001000111100", (0.5, 10, 8), 1)] + [leader] * 7
     assert [tuple(vars(s).values()) for s in reached.history] == history
     assert reached.first_seen == first_seen
+
+
+def test_demoted_evaluations_warn_once_per_run():
+    calls, raised = 0, 0
+
+    def counted(genome):
+        nonlocal calls, raised
+        calls += 1
+        try:
+            return _flaky(genome)
+        except EvaluationError:
+            raised += 1
+            raise
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evolve(_demoting_config(), counted)
+        assert raised > 0
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, f"{raised} of {calls} evaluations raised EvaluationError "
+                             "and were scored with accuracy 0")]
+        caught.clear()
+        evolve(_demoting_config(), onemax)
+        assert caught == []
 
 
 def test_offspring_match_per_pair_crossover():
@@ -333,7 +366,8 @@ def test_evaluation_errors_demote_not_abort():
         return Objectives(float(np.mean(genome.bits)), 1, 1)
 
     cfg = EvolveConfig(n_qubits=3, population_size=8, generations=4, seed=6)
-    res = evolve(cfg, flaky)
+    with pytest.warns(RuntimeWarning, match="raised EvaluationError"):
+        res = evolve(cfg, flaky)
     assert len(res.population) == 8
     for ind in res.population:
         if ind.genome.bits[0] == 1:

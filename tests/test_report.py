@@ -7,7 +7,7 @@ from scipy import stats
 
 from qkevo.errors import DataError
 from qkevo.featuremap import Genome, decode, gate_counts, genome_length
-from qkevo.nsga2 import EvolveConfig, Objectives, evolve
+from qkevo.nsga2 import EvolveConfig, EvolveResult, Individual, Objectives, evolve
 from qkevo.report import (RunRecord, average_ranks, best_pareto_record,
                           correlation_rows, gate_means, load_run, pareto_records,
                           scan_runs, spearman, write_run)
@@ -59,6 +59,32 @@ def test_best_pareto_record_tie_breaking():
     assert best_pareto_record(records)["genome"] == "a"
 
 
+def _front_result(objectives, n_qubits=6) -> EvolveResult:
+    """A rank-1 front of distinct genomes with the given objective vectors."""
+    length = genome_length(n_qubits)
+    front = [Individual(Genome.from_string(format(i, f"0{length}b"), n_qubits),
+                        Objectives(*vector), rank=1)
+             for i, vector in enumerate(objectives)]
+    return EvolveResult(front, front, [], {ind.genome.to_string(): 0 for ind in front})
+
+
+def test_pareto_records_list_the_best_record_first():
+    # Tied on accuracy; fewer local gates on one side, fewer total on the other.
+    records = pareto_records(_front_result([(0.9, 30, 28), (0.9, 32, 24)]))
+    assert records[0] == best_pareto_record(records)
+    assert (records[0]["local_gates"], records[0]["cnot_gates"]) == (32, 24)
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        objectives = [(float(rng.choice([0.5, 0.75, 0.9])), int(rng.integers(0, 6)),
+                       int(rng.integers(0, 6))) for _ in range(int(rng.integers(1, 9)))]
+        result = _front_result(objectives)
+        records = pareto_records(result)
+        assert records[0] == best_pareto_record(records)
+        assert sorted((r["genome"], r["accuracy"], r["local_gates"], r["cnot_gates"])
+                      for r in records) == sorted(
+            (ind.genome.to_string(), *ind.objectives) for ind in result.pareto_front)
+
+
 def _write_run(run_dir, genome_str, n_qubits, accuracy, si, hmi, dsi,
                break_counts=False):
     counts = gate_counts(decode(Genome.from_string(genome_str, n_qubits)))
@@ -104,6 +130,22 @@ def test_pareto_records_write_run_load_run_round_trip(tmp_path):
     best = best_pareto_record(records)
     assert load_run(tmp_path / "run") == RunRecord(
         "run", 3, 0.25, 1.5, 0.75, best["accuracy"], best["local_gates"], best["cnot_gates"])
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param(["toy,0;1,100,0.5,1.0,0.4", "toy,mean,100,0.5,1.0,0.4"], id="mean-row"),
+    pytest.param(["toy,0;1,100,0.5,1.0,0.4", "toy,2;3,100,0.7,2.0,0.1"], id="two-combos"),
+    pytest.param([], id="header-only"),
+    pytest.param(["toy,0;1,100,0.5"], id="short-row"),
+    pytest.param(["toy,0;1,100,0.5,1.0,0.4,9"], id="long-row")])
+def test_load_run_reads_exactly_one_separability_row(tmp_path, rows):
+    _write_run(tmp_path / "run", GENOMES_BY_CNOT[0], 2, 0.9, 0.5, 1.0, 0.4)
+    (tmp_path / "run" / "separability.csv").write_text(
+        "\n".join(["dataset,features,n_instances,si,hmi,dsi", *rows]) + "\n")
+    with pytest.raises(DataError, match="expected one row"):
+        load_run(tmp_path / "run")
+    records, warnings = scan_runs(tmp_path)
+    assert records == [] and len(warnings) == 1
 
 
 def test_load_run_rejects_inconsistent_counts(tmp_path):

@@ -53,41 +53,63 @@ class SvmModel:
     iterations: int = 0
 
 
-def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float,
-           max_iterations: int) -> tuple[np.ndarray, int]:
-    """Alphas of the dual by maximal-violating-pair SMO, and the number of
-    pair updates made (``max_iterations`` when the cap stopped the loop).
+def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float,
+         max_iterations: int) -> tuple[np.ndarray, int, bool]:
+    """Alphas of the dual by maximal-violating-pair SMO, the number of pair
+    updates made, and whether the loop stopped on the tolerance (rather
+    than on ``max_iterations``).
 
     ``v`` is -y * gradient of the dual in minimisation form, so it starts
     at ``y``.  Each step moves the pair (i, j) that violates the KKT
-    conditions most: i maximises ``v`` over the rows whose alpha can move
-    up the constraint line, j minimises it over those that can move down.
-    Ties go to the first index, so flipping every label swaps the roles of
-    i and j and leaves the iterates mirrored exactly.
+    conditions most: i maximises ``v`` over I_up, the rows whose alpha can
+    move up the constraint line, and j minimises it over I_low, those that
+    can move down.  Ties go to the first index, so flipping every label
+    swaps the roles of i and j and leaves the iterates mirrored exactly.
 
-    The per-step scalars live in Python floats (IEEE doubles, as numpy's)
-    and the arrays in buffers allocated once, so each step costs a few
-    numpy calls on ``n`` elements and no temporaries.
+    Both sets live in one (2, n) array ``w``: row 0 holds ``v`` on I_up and
+    row 1 holds ``-v`` on I_low, with -inf elsewhere.  So one argmax along
+    the rows gives (i, j), the first argmax of ``-v`` being the first
+    argmin of ``v``, and the gap ``v_i - v_j`` is ``w[0, i] + w[1, j]``.
+    Each step updates both rows with one subtract, scale and subtract in
+    place on rows of a table holding K[:, k] over -K[:, k].  Negation is
+    exact and rounding to nearest is symmetric in sign, so
+    (-a) - (-b) = -(a - b), (-x) * t = -(x * t) and u + (-l) = u - l bit
+    for bit: row 1 holds exactly the negation of the ``v`` that a single
+    array would hold, and -inf stays -inf.  Every row is in I_up or I_low
+    (0 <= alpha <= C), so ``v`` is always held in at least one row; when an
+    update moves row k in or out of a set, ``w[:, k]`` is rewritten from
+    the row that held it.
+
+    The per-step scalars live in Python floats (IEEE doubles, as numpy's),
+    and ``min`` keeps the first of equal rooms, so each step makes the
+    same float operations as the whole-array masked loop in
+    ``tests/oracles.py`` (``smo_by_masks``) with four numpy calls on
+    ``2n`` elements and no temporaries.
     """
     n = y.size
-    labels, pos = y.tolist(), (y > 0).tolist()
+    positive = y > 0
+    labels, pos = y.tolist(), positive.tolist()
     diag = K.diagonal().tolist()
-    cols = np.ascontiguousarray(K.T)  # row k holds K[:, k]
+    table = np.empty((n, 2, n))  # table[k] holds K[:, k] over -K[:, k]
+    table[:, 0] = K.T
+    np.negative(K.T, out=table[:, 1])
+    signed = list(table)
     alpha = [0.0] * n
-    v = y.copy()
-    # Membership of I_up and I_low as additive masks: 0 for members, -inf
-    # (I_up) or +inf (I_low) otherwise.  Only rows i and j can change them.
-    up_mask = np.where(pos, 0.0, -np.inf)
-    low_mask = np.where(pos, np.inf, 0.0)
-    up, low, step = np.empty(n), np.empty(n), np.empty(n)
+    # At alpha = 0, I_up holds the positive rows and I_low the negative
+    # ones: v = y is +1 on the first and -v is +1 on the second.
+    w = np.where([positive, ~positive], 1.0, -np.inf)
+    w_up, w_low = w
+    in_up, in_low = pos[:], [not p for p in pos]
+    # The step length sits in a 0-d array: numpy multiplies by it faster
+    # than by a Python float, with the same result.
+    step, t_array = np.empty((2, n)), np.empty(())
+    argmax, subtract, multiply = w.argmax, np.subtract, np.multiply
     steps = 0
-    while steps < max_iterations:
-        np.add(v, up_mask, out=up)
-        np.add(v, low_mask, out=low)
-        i, j = int(up.argmax()), int(low.argmin())
-        gap = up.item(i) - low.item(j)
-        if gap <= tol:
-            break
+    while True:
+        i, j = argmax(1).tolist()
+        gap = w_up.item(i) + w_low.item(j)
+        if gap <= tol or steps == max_iterations:
+            return np.array(alpha), steps, gap <= tol
         room_i = C - alpha[i] if pos[i] else alpha[i]
         room_j = alpha[j] if pos[j] else C - alpha[j]
         # A flat or concave direction has no interior optimum: go to the box.
@@ -103,15 +125,26 @@ def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float,
             alpha[j] = 0.0 if pos[j] else C
         for k in (i, j):
             below, above = alpha[k] < C, alpha[k] > 0.0
-            in_up, in_low = (below, above) if pos[k] else (above, below)
-            up_mask[k] = 0.0 if in_up else -np.inf
-            low_mask[k] = 0.0 if in_low else np.inf
-        # v -= t * (K[:, i] - K[:, j]), one operation at a time in place.
-        np.subtract(cols[i], cols[j], out=step)
-        step *= t
-        v -= step
+            up, low = (below, above) if pos[k] else (above, below)
+            if up != in_up[k] or low != in_low[k]:
+                v = w_up.item(k) if in_up[k] else -w_low.item(k)
+                w_up[k] = v if up else -np.inf
+                w_low[k] = -v if low else -np.inf
+                in_up[k], in_low[k] = up, low
+        # v -= t * (K[:, i] - K[:, j]) on both rows, in place.
+        subtract(signed[i], signed[j], step)
+        t_array[()] = t
+        multiply(step, t_array, step)
+        subtract(w, step, w)
         steps += 1
-    return np.array(alpha), steps
+
+
+def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float,
+           max_iterations: int) -> tuple[np.ndarray, int]:
+    """``_smo``'s alphas and number of pair updates without its stop reason,
+    as ``tests/oracles.py`` ``smo_by_masks`` returns them."""
+    alphas, steps, _ = _smo(K, y, C, tol, max_iterations)
+    return alphas, steps
 
 
 def final_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
@@ -159,13 +192,14 @@ def train_dual(gram, y, config: TrainConfig | None = None) -> SvmModel:
     y = np.asarray(y, dtype=float)
     if y.shape != (K.shape[0],):
         raise ValueError(f"need {K.shape[0]} labels, got shape {y.shape}")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    # NaN equals neither, so it is refused too.
+    if not ((y == 1.0) | (y == -1.0)).all():
         raise ValueError("labels must be -1 or +1")
     if np.all(y == y[0]):
         raise TrainingError("training labels contain a single class")
-    alphas, iterations = _solve(K, y, config.C, config.tolerance,
-                                config.max_iterations)
-    if iterations == config.max_iterations:
+    alphas, iterations, converged = _smo(K, y, config.C, config.tolerance,
+                                         config.max_iterations)
+    if not converged:
         warnings.warn(f"SMO stopped at max_iterations={config.max_iterations} before "
                       "reaching the tolerance", RuntimeWarning)
     bias = final_bias(K, y, alphas, config.C)
@@ -234,7 +268,7 @@ def train_multiclass(gram, y, config: TrainConfig | None = None) -> MulticlassMo
         rows = np.flatnonzero((y == classes[ia]) | (y == classes[ib]))
         sub_y = np.where(y[rows] == classes[ia], 1.0, -1.0)
         pairs.append((ia, ib))
-        models.append(train_dual(K[np.ix_(rows, rows)], sub_y, config))
+        models.append(train_dual(K.take(rows, 0).take(rows, 1), sub_y, config))
         pair_rows.append(rows)
     return MulticlassModel(classes=classes, pairs=pairs, models=models,
                            pair_rows=pair_rows)

@@ -1,4 +1,5 @@
 """End-to-end checks of the qkevo command line."""
+import contextlib
 import hashlib
 import json
 import re
@@ -673,7 +674,10 @@ def test_outputs_byte_identical(tmp_path, monkeypatch, capsys):
     (tmp_path / "data").symlink_to(REPO_ROOT / "data")
     monkeypatch.chdir(tmp_path)
     for argv, stdout in _GOLDEN_RUNS:
-        assert main(argv) == 0
+        # The poly kernel runs SMO to its cap on one of the cancer combos.
+        with (pytest.warns(RuntimeWarning, match="SMO stopped")
+              if "--classical-only" in argv else contextlib.nullcontext()):
+            assert main(argv) == 0
         assert capsys.readouterr().out == stdout, argv
     digests = {}
     for path in sorted(tmp_path.rglob("*")):

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -239,6 +240,72 @@ def test_capped_smo_warns_once_per_run():
     assert "RuntimeWarning: SMO stopped at max_iterations=1 " in done.stderr
 
 
+def test_update_that_reaches_the_tolerance_at_the_cap_does_not_warn():
+    # One update closes the gap, so a cap of 1 stops nothing early: the
+    # model equals the uncapped one and no warning is raised.
+    gram, y = np.eye(2), np.array([1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        capped = train_dual(gram, y, TrainConfig(max_iterations=1))
+    free = train_dual(gram, y, TrainConfig(max_iterations=2))
+    assert np.array_equal(capped.alphas, [1.0, 1.0])
+    assert np.array_equal(capped.alphas, free.alphas)
+    assert capped.iterations == free.iterations == 1
+    K, y = _kkt_problems()[0]
+    with pytest.warns(RuntimeWarning, match="SMO stopped at max_iterations=3 "):
+        assert train_dual(K, y, TrainConfig(max_iterations=3)).iterations == 3
+
+
+@st.composite
+def _smo_problems(draw):
+    """(K, y, C, tol, cap): an rbf or quantum Gram of 2-40 rows, some of
+    them repeated so that pairs of zero curvature occur."""
+    n = draw(st.integers(2, 40))
+    n_features = draw(st.integers(1, 3))
+    X = draw(arrays(float, (n, n_features), elements=st.floats(0.0, np.pi)))
+    repeats = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                            max_size=n // 2))
+    for src, dst in repeats:
+        X[dst] = X[src]
+    if draw(st.booleans()):
+        K = classical_kernel("rbf", X, X, gamma=draw(st.floats(0.05, 5.0)))
+    else:
+        bits = draw(st.lists(st.integers(0, 1), min_size=genome_length(n_features),
+                             max_size=genome_length(n_features)))
+        K = quantum_gram(decode(Genome(n_features, np.array(bits))), X)
+    y = np.array(draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n)
+                      .filter(lambda labels: len(set(labels)) == 2)))
+    C = 10.0 ** draw(st.floats(-3.0, 3.0))
+    tol = draw(st.sampled_from((1e-1, 1e-3, 1e-6)))
+    return K, y, C, tol, draw(st.integers(1, 50))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_smo_problems())
+def test_solver_matches_mask_oracle_on_any_problem(problem):
+    alphas, steps = _solve(*problem)
+    want_alphas, want_steps = smo_by_masks(*problem)
+    assert np.array_equal(alphas, want_alphas)
+    assert np.array_equal(np.signbit(alphas), np.signbit(want_alphas))
+    assert steps == want_steps
+
+
+def test_multiclass_models_equal_binary_models_on_sub_grams():
+    iris = load_csv(IRIS, "species")
+    tts = make_split(minmax_scale(subset_features(iris, [0, 1, 2]), 0.0, np.pi),
+                     SplitSpec(100, 50))
+    gram = quantum_gram(decode(Genome(3, np.arange(genome_length(3)) % 2)), tts.X_train)
+    ensemble = train_multiclass(gram, tts.y_train)
+    assert len(ensemble.models) == 3
+    for (ia, _), model, rows in zip(ensemble.pairs, ensemble.models, ensemble.pair_rows):
+        sub_y = np.where(tts.y_train[rows] == ensemble.classes[ia], 1.0, -1.0)
+        want = train_dual(gram[np.ix_(rows, rows)], sub_y)
+        assert np.array_equal(model.alphas, want.alphas)
+        assert model.bias == want.bias and model.iterations == want.iterations
+        assert np.array_equal(model.support_indices, want.support_indices)
+        assert np.array_equal(model.train_labels, want.train_labels)
+
+
 def test_single_class_labels_raise():
     with pytest.raises(TrainingError):
         train_dual(np.eye(3), np.array([1.0, 1.0, 1.0]))
@@ -249,6 +316,8 @@ def test_shape_validation():
         train_dual(np.ones((2, 3)), np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         train_dual(np.eye(2), np.array([1.0, 2.0]))  # labels not in {-1,+1}
+    with pytest.raises(ValueError, match="labels must be -1 or"):
+        train_dual(np.eye(2), np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match="symmetric"):
         train_dual(np.array([[1.0, 0.5], [0.4, 1.0]]), np.array([1.0, -1.0]))
     model = train_dual(np.array([[1.0, -1.0], [-1.0, 1.0]]),

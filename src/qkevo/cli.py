@@ -259,6 +259,8 @@ def _resolve(args) -> dict:
             getattr(args, "features.seed") is not None or "features.seed" in in_file):
         raise ConfigError("--combo-seed (features.seed) samples combos: it needs --combos")
     if features is not None:
+        if len(set(features)) != len(features):
+            raise ConfigError(f"feature indices must not repeat, got {features}")
         if n_qubits is not None and n_qubits != len(features):
             raise ConfigError(
                 f"--qubits {n_qubits} disagrees with {len(features)} features"
@@ -334,17 +336,19 @@ def _manifest(run: dict, combo) -> dict:
 
 
 def cmd_evolve(args) -> int:
-    """Each combo's run is written once all its content is computed."""
+    """Each combo's run is written once all its content is computed; its
+    separability row comes first, so data the indexes refuse fails before
+    the GA runs."""
     run = _resolve(args)
     dataset, combos = _dataset_and_combos(run)
     base = Path(run["out"])
     for combo in combos:
         sub, tts = _prepared_split(run, dataset, combo)
+        separability = _separability_row(run, combo, sub)
         result = evolve(run["evolve"], svm_evaluator(tts, run["svm"]))
         records = pareto_records(result)
         out_dir = base if len(combos) == 1 else base / f"combo_{_combo_label(combo)}"
-        write_run(out_dir, records, result.history,
-                  _separability_row(run, combo, sub), _manifest(run, combo))
+        write_run(out_dir, records, result.history, separability, _manifest(run, combo))
         best = best_pareto_record(records)
         print(f"{out_dir}: front size {len(records)}, "
               f"best accuracy {best['accuracy']:.4f} "

@@ -139,14 +139,6 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float,
         steps += 1
 
 
-def _solve(K: np.ndarray, y: np.ndarray, C: float, tol: float,
-           max_iterations: int) -> tuple[np.ndarray, int]:
-    """``_smo``'s alphas and number of pair updates without its stop reason,
-    as ``tests/oracles.py`` ``smo_by_masks`` returns them."""
-    alphas, steps, _ = _smo(K, y, C, tol, max_iterations)
-    return alphas, steps
-
-
 def final_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
     """Bias from the KKT bounds at the final alphas.
 
@@ -160,8 +152,8 @@ def final_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> flo
     v = y - g
     at_zero = alpha <= _SV_EPS
     pos = y > 0
-    lower = (at_zero & pos) | (~at_zero & ~pos)
-    upper = (at_zero & ~pos) | (~at_zero & pos)
+    lower = at_zero == pos
+    upper = ~lower
     b_lo = np.max(v[lower]) if lower.any() else -np.inf
     b_hi = np.min(v[upper]) if upper.any() else np.inf
     if not np.isfinite(b_lo):
@@ -171,7 +163,9 @@ def final_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> flo
     return float(0.5 * (b_lo + b_hi))
 
 
-def _check_gram(gram: np.ndarray) -> np.ndarray:
+def _check_gram(gram, y) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram as a square, finite, symmetric float matrix and ``y`` as an
+    array of one label per row."""
     K = np.asarray(gram, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"gram matrix must be square, got shape {K.shape}")
@@ -181,17 +175,29 @@ def _check_gram(gram: np.ndarray) -> np.ndarray:
     # Exact equality first: quantum Grams are symmetric by construction.
     if not np.array_equal(K, K.T) and not np.allclose(K, K.T, atol=1e-8):
         raise ValueError("gram matrix must be symmetric")
-    return K
+    y = np.asarray(y)
+    if y.shape != (K.shape[0],):
+        raise ValueError(f"need {K.shape[0]} labels, got shape {y.shape}")
+    return K, y
+
+
+def _check_cross(cross, n_train: int) -> np.ndarray:
+    """The cross kernel as a float matrix with one column per training row;
+    a single row may come as a vector."""
+    cross = np.asarray(cross, dtype=float)
+    if cross.ndim == 1:
+        cross = cross[None, :]
+    if cross.shape[1] != n_train:
+        raise ValueError(f"cross kernel must have {n_train} columns, got {cross.shape[1]}")
+    return cross
 
 
 def train_dual(gram, y, config: TrainConfig | None = None) -> SvmModel:
     """Train a binary SVM from a precomputed Gram matrix and -1/+1 labels."""
     if config is None:
         config = TrainConfig()
-    K = _check_gram(gram)
+    K, y = _check_gram(gram, y)
     y = np.asarray(y, dtype=float)
-    if y.shape != (K.shape[0],):
-        raise ValueError(f"need {K.shape[0]} labels, got shape {y.shape}")
     # NaN equals neither, so it is refused too.
     if not ((y == 1.0) | (y == -1.0)).all():
         raise ValueError("labels must be -1 or +1")
@@ -210,13 +216,7 @@ def train_dual(gram, y, config: TrainConfig | None = None) -> SvmModel:
 
 def decision_values(model: SvmModel, cross) -> np.ndarray:
     """f(x) = sum_i alpha_i y_i K(x_i, x) + b for each row of the cross kernel."""
-    cross = np.asarray(cross, dtype=float)
-    if cross.ndim == 1:
-        cross = cross[None, :]
-    if cross.shape[1] != model.alphas.size:
-        raise ValueError(
-            f"cross kernel must have {model.alphas.size} columns, got {cross.shape[1]}"
-        )
+    cross = _check_cross(cross, model.alphas.size)
     return cross @ (model.alphas * model.train_labels) + model.bias
 
 
@@ -230,6 +230,8 @@ def accuracy(predicted, truth) -> float:
     truth = np.asarray(truth)
     if predicted.shape != truth.shape:
         raise ValueError(f"length mismatch: {predicted.shape} vs {truth.shape}")
+    if predicted.size == 0:
+        raise ValueError("accuracy needs at least one prediction")
     return float(np.mean(predicted == truth))
 
 
@@ -256,10 +258,7 @@ def train_multiclass(gram, y, config: TrainConfig | None = None) -> MulticlassMo
 
     Within a pair (a, b), a < b in class order, class a is coded +1.
     """
-    K = _check_gram(gram)
-    y = np.asarray(y)
-    if y.shape != (K.shape[0],):
-        raise ValueError(f"need {K.shape[0]} labels, got shape {y.shape}")
+    K, y = _check_gram(gram, y)
     classes = np.unique(y)
     if classes.size < 2:
         raise TrainingError("multiclass training needs at least 2 classes")
@@ -277,21 +276,18 @@ def train_multiclass(gram, y, config: TrainConfig | None = None) -> MulticlassMo
 def predict_multiclass(ensemble: MulticlassModel, cross) -> np.ndarray:
     """Majority vote over pair models; vote ties break by summed |decision|,
     any remaining tie by class order."""
-    cross = np.asarray(cross, dtype=float)
-    if cross.ndim == 1:
-        cross = cross[None, :]
-    n_test = cross.shape[0]
-    n_classes = ensemble.classes.size
-    votes = np.zeros((n_test, n_classes), dtype=int)
-    strength = np.zeros((n_test, n_classes))
+    # Every training row sits in some pair, so the largest pair index is the last.
+    n_train = 1 + max(int(rows.max()) for rows in ensemble.pair_rows)
+    cross = _check_cross(cross, n_train)
+    test_rows = np.arange(cross.shape[0])
+    votes = np.zeros((cross.shape[0], ensemble.classes.size), dtype=int)
+    strength = np.zeros(votes.shape)
     for (ia, ib), model, rows in zip(ensemble.pairs, ensemble.models,
                                      ensemble.pair_rows):
         dec = decision_values(model, cross[:, rows])
-        won_a = dec >= 0.0
-        votes[won_a, ia] += 1
-        votes[~won_a, ib] += 1
-        strength[won_a, ia] += np.abs(dec[won_a])
-        strength[~won_a, ib] += np.abs(dec[~won_a])
+        winner = np.where(dec >= 0.0, ia, ib)
+        votes[test_rows, winner] += 1
+        strength[test_rows, winner] += np.abs(dec)
     # Lexicographic argmax on (votes, strength); argmax takes the first
     # class of a full tie.
     most = votes == votes.max(axis=1, keepdims=True)

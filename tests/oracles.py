@@ -279,10 +279,10 @@ def smo_by_masks(K: np.ndarray, y: np.ndarray, C: float, tol: float,
                  max_iterations: int) -> tuple[np.ndarray, int]:
     """Maximal-violating-pair SMO with the index sets as boolean masks and
     whole-array numpy updates: the same pair rule, step, bound snap and
-    float operations as ``svm._solve``, so the alphas must match bit for
-    bit on a finite Gram (an infinite entry makes ``_solve``'s additive
-    masks NaN where ``np.where`` gives -inf; ``train_dual`` rejects such a
-    Gram).  Returns the alphas and the number of pair updates made."""
+    float operations as ``svm._smo``, so the alphas must match bit for
+    bit on a finite Gram, the only kind ``train_dual`` passes to ``_smo``:
+    it refuses a non-finite one.  Returns the alphas and the number of pair
+    updates made."""
     alpha = np.zeros(y.size)
     v = y.copy()
     pos = y > 0

@@ -104,6 +104,22 @@ def test_rerun_failing_before_the_write_leaves_the_earlier_run_whole(tmp_path,
     assert load_run(out) == record
 
 
+def test_data_the_indexes_refuse_fails_before_the_ga(tmp_path, capsys, monkeypatch):
+    # Before, the whole GA ran and only then did the indexes refuse the data.
+    lines = (REPO_ROOT / "data" / "iris.csv").read_text().splitlines()
+    odd = tmp_path / "odd.csv"
+    odd.write_text("\n".join([*lines[:21], *lines[51:71], "5.0,3.0,1.5,0.3,odd"]) + "\n")
+    calls = []
+    monkeypatch.setattr("qkevo.cli.evolve", lambda *args: calls.append(args))
+    out = tmp_path / "run"
+    assert main(["evolve", "--dataset", str(odd), "--label-col", "species",
+                 "--features", "0,1", "--population", "4", "--generations", "0",
+                 "--train-size", "20", "--test-size", "10", "--out", str(out)]) == 3
+    assert "every class needs at least 2 members" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_failed_write_leaves_no_temp_file(tmp_path):
     target = tmp_path / "table.csv"
     target.mkdir()  # renaming a file onto a directory fails
@@ -271,6 +287,22 @@ def test_combo_seed_without_combos_is_usage_error(tmp_path, capsys, command, fla
     config.write_text(json.dumps(cfg))
     assert main([*_table_args(command, out, config), *flags]) == 1
     assert "needs --combos" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "kernels", "separability"])
+@pytest.mark.parametrize("flags, cfg", [
+    pytest.param(("--features", "0,0"), {}, id="flag"),
+    pytest.param((), {"features": {"list": [1, 0, 1]}}, id="config")])
+def test_repeated_feature_index_is_usage_error(tmp_path, capsys, command, flags, cfg):
+    # Before, evolve ran a 2-qubit GA on one feature twice and exited 0.
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    config.write_text(json.dumps(cfg))
+    args = _table_args(command, out, config)
+    at = args.index("--features")
+    del args[at:at + 2]
+    assert main([*args, *flags]) == 1
+    assert "feature indices must not repeat" in capsys.readouterr().err
     assert not out.exists()
 
 

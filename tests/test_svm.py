@@ -14,7 +14,7 @@ from qkevo.data import SplitSpec, load_csv, make_split, minmax_scale, subset_fea
 from qkevo.errors import TrainingError
 from qkevo.featuremap import Genome, decode, genome_length
 from qkevo.kernel import classical_kernel, quantum_gram
-from qkevo.svm import (MulticlassModel, SvmModel, TrainConfig, _solve, accuracy,
+from qkevo.svm import (MulticlassModel, SvmModel, TrainConfig, _smo, accuracy,
                        decision_values, dual_objective, fit_score, predict,
                        predict_multiclass, train_dual, train_multiclass)
 
@@ -201,7 +201,7 @@ def test_solver_matches_mask_oracle_bit_for_bit():
     cases.append((K, y, 1.0, 5))
     for K, y, C, cap in cases:
         K, y = np.asarray(K, dtype=float), np.asarray(y, dtype=float)
-        alphas, steps = _solve(K, y, C, 1e-3, cap)
+        alphas, steps, _ = _smo(K, y, C, 1e-3, cap)
         want_alphas, want_steps = smo_by_masks(K, y, C, 1e-3, cap)
         assert np.array_equal(alphas, want_alphas)
         assert steps == want_steps
@@ -283,7 +283,7 @@ def _smo_problems(draw):
 @settings(max_examples=100, deadline=None)
 @given(_smo_problems())
 def test_solver_matches_mask_oracle_on_any_problem(problem):
-    alphas, steps = _solve(*problem)
+    alphas, steps, _ = _smo(*problem)
     want_alphas, want_steps = smo_by_masks(*problem)
     assert np.array_equal(alphas, want_alphas)
     assert np.array_equal(np.signbit(alphas), np.signbit(want_alphas))
@@ -394,6 +394,12 @@ def test_accuracy_values():
     assert accuracy(np.array([1, 1, 1, -1]), np.array([1, 1, 1, 1])) == 0.75
 
 
+def test_accuracy_of_zero_rows_raises():
+    # Before, the mean of no rows returned NaN with two RuntimeWarnings.
+    with pytest.raises(ValueError, match="at least one"):
+        accuracy([], [])
+
+
 def _blobs(rng, centers, n_per, sigma=1.0):
     X = np.vstack([rng.normal(loc=c, scale=sigma, size=(n_per, len(c)))
                    for c in centers])
@@ -449,6 +455,19 @@ def test_multiclass_vote_tie_breaks():
         [-1.0, 1.0, -1.0],  # one vote each (b, a, c), equal strength: first class
     ])
     assert list(predict_multiclass(ensemble, cross)) == ["a", "c", "a", "a"]
+
+
+@pytest.mark.parametrize("width", [8, 17])
+def test_multiclass_refuses_a_wrong_width_cross_kernel(width):
+    rng = np.random.default_rng(42)
+    X, y = _blobs(rng, [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)], 4)
+    K = classical_kernel("rbf", X, X)
+    cross = classical_kernel("rbf", X[:3], rng.normal(size=(width, 2)))
+    # Before, 17 columns predicted from the first 12 and 8 raised IndexError.
+    with pytest.raises(ValueError, match="12 columns"):
+        predict_multiclass(train_multiclass(K, y), cross)
+    with pytest.raises(ValueError, match="12 columns"):
+        predict(train_dual(K, np.where(y == 0, 1.0, -1.0)), cross)
 
 
 def test_multiclass_needs_two_classes():

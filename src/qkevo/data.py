@@ -32,6 +32,12 @@ class SplitSpec:
     seed: int = 0
     stratified: bool = True
 
+    def __post_init__(self):
+        for name, least in (("n_train", 1), ("n_test", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"split.{name} must be >= {least}, got {value}")
+
 
 @dataclass
 class TrainTestSplit:
@@ -51,13 +57,14 @@ def load_csv(path, label_column, positive_class: str | None = None) -> Dataset:
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            # Blank lines are dropped; each row keeps its line in the file.
+            rows = [(reader.line_num, r) for r in reader if r]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [r for r in rows if r]  # drop blank lines
     if not rows:
         raise DataError(f"{path}: file is empty")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     if isinstance(label_column, int):
         label_idx = label_column if label_column >= 0 else len(header) + label_column
         if not 0 <= label_idx < len(header):
@@ -71,7 +78,7 @@ def load_csv(path, label_column, positive_class: str | None = None) -> Dataset:
 
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
     features, labels = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise DataError(
                 f"{path}: ragged row at line {lineno} "
@@ -97,6 +104,16 @@ def load_csv(path, label_column, positive_class: str | None = None) -> Dataset:
         index = {name: i for i, name in enumerate(class_names)}
         y = np.array([index[lab] for lab in labels])
     return Dataset(feature_names=feature_names, X=X, y=y, class_names=class_names)
+
+
+def data_matrix(X, n_columns: int, name: str) -> np.ndarray:
+    """X as a float matrix of ``n_columns`` columns; one row may come as a vector."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[None, :]
+    if X.ndim != 2 or X.shape[1] != n_columns:
+        raise ValueError(f"{name} must have {n_columns} columns, got shape {X.shape}")
+    return X
 
 
 def minmax_columns(X: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
@@ -143,10 +160,8 @@ def _quotas(counts: np.ndarray, total: int) -> np.ndarray:
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint train/test index arrays of the requested sizes."""
     n = dataset.X.shape[0]
-    if spec.n_train < 1 or spec.n_test < 0 or spec.n_train + spec.n_test > n:
-        raise DataError(
-            f"infeasible split sizes {spec.n_train}+{spec.n_test} for {n} rows"
-        )
+    if spec.n_train + spec.n_test > n:
+        raise DataError(f"infeasible split sizes {spec.n_train}+{spec.n_test} for {n} rows")
     rng = np.random.default_rng(spec.seed)
     if not spec.stratified:
         perm = rng.permutation(n)
@@ -189,8 +204,12 @@ def sample_feature_combos(n_total: int, k: int, count: int,
     """``count`` distinct sorted k-subsets of range(n_total), seeded."""
     if not 1 <= k <= n_total:
         raise DataError(f"k must lie in [1, {n_total}], got {k}")
+    if count < 1:
+        raise ConfigError(f"combo count must be >= 1, got {count}")
+    if seed < 0:
+        raise ConfigError(f"combo seed must be >= 0, got {seed}")
     total = math.comb(n_total, k)
-    if count < 1 or count > total:
+    if count > total:
         raise DataError(f"cannot sample {count} distinct combos, only {total} exist")
     rng = np.random.default_rng(seed)
     if total <= max(1000, 4 * count):

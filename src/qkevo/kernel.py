@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .data import data_matrix
 from .errors import ConfigError
 from .featuremap import FeatureMapTemplate
 from .separability import squared_distances
@@ -36,15 +37,6 @@ from .simulator import MAX_QUBITS
 CLASSICAL_KINDS = ("linear", "poly", "rbf", "sigmoid")
 # Index of f^(z_a z_b) among (f, conj f) for bits a, b: conj exactly when a != b.
 _SIGN_PRODUCT = np.array([[0, 1], [1, 0]])
-
-
-def _as_data_matrix(X, n_features: int, name: str) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != n_features:
-        raise ValueError(f"{name} must have {n_features} columns, got shape {X.shape}")
-    return X
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +132,7 @@ def prepare_states(template: FeatureMapTemplate, X) -> np.ndarray:
     n, axis = template.n_qubits, template.rotation_axis
     if not 1 <= n <= MAX_QUBITS:
         raise ConfigError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n}")
-    X = _as_data_matrix(X, n, "X").T
+    X = data_matrix(X, n, "X").T
     rot = [q for q, on in enumerate(template.rotation_enabled) if on]
     if rot and axis not in ("X", "Y", "Z"):
         raise ConfigError(f"rotation axis must be 'X', 'Y' or 'Z', got {axis!r}")
@@ -210,8 +202,8 @@ def classical_kernel(kind: str, X_a, X_b, gamma: float | None = None,
     """
     if kind not in CLASSICAL_KINDS:
         raise ConfigError(f"kernel kind must be one of {CLASSICAL_KINDS}, got {kind!r}")
-    X_b = _as_data_matrix(X_b, np.shape(X_b)[-1], "X_b")
-    X_a = _as_data_matrix(X_a, X_b.shape[1], "X_a")
+    X_b = data_matrix(X_b, np.shape(X_b)[-1], "X_b")
+    X_a = data_matrix(X_a, X_b.shape[1], "X_a")
     if kind == "linear":
         return X_a @ X_b.T
     if gamma is None:

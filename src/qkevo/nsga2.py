@@ -76,6 +76,8 @@ class EvolveConfig:
             raise ConfigError("mutation_prob must lie in [0, 1]")
         if self.tournament_size < 1:
             raise ConfigError("tournament_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -243,15 +245,14 @@ def evolve(config: EvolveConfig,
                      else 1.0 / length)
     rng = np.random.default_rng(config.seed)
     early = config.early_stop
-    evaluations = demoted = 0
+    demoted = 0
 
     def scored(bit_rows: np.ndarray) -> list[Individual]:
         # A genome whose evaluation fails gets accuracy 0 and its own gate counts.
-        nonlocal evaluations, demoted
+        nonlocal demoted
         scored_pop = []
         for bits in bit_rows:
             genome = Genome(config.n_qubits, bits.copy())
-            evaluations += 1
             try:
                 objectives = evaluator(genome)
             except EvaluationError:
@@ -292,8 +293,8 @@ def evolve(config: EvolveConfig,
                 first_seen.setdefault(ind.genome.to_string(), gen)
 
     if demoted:
-        warnings.warn(f"{demoted} of {evaluations} evaluations raised EvaluationError "
-                      "and were scored with accuracy 0", RuntimeWarning)
+        warnings.warn(f"{demoted} of {config.population_size * len(history)} evaluations "
+                      "raised EvaluationError and were scored with accuracy 0", RuntimeWarning)
     pareto = [ind for ind in pop if ind.rank == 1]
     return EvolveResult(population=pop, pareto_front=pareto, history=history,
                         first_seen=first_seen)

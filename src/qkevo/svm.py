@@ -23,6 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .data import data_matrix
 from .errors import ConfigError, TrainingError
 
 # Alphas closer than this to a box bound are not counted as support vectors.
@@ -150,17 +151,13 @@ def final_bias(K: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> flo
     if interior.any():
         return float(np.mean(y[interior] - g[interior]))
     v = y - g
-    at_zero = alpha <= _SV_EPS
-    pos = y > 0
-    lower = at_zero == pos
-    upper = ~lower
-    b_lo = np.max(v[lower]) if lower.any() else -np.inf
-    b_hi = np.min(v[upper]) if upper.any() else np.inf
-    if not np.isfinite(b_lo):
-        return float(b_hi)
-    if not np.isfinite(b_hi):
-        return float(b_lo)
-    return float(0.5 * (b_lo + b_hi))
+    # Rows at the bound that holds b from below; the others hold it from above.
+    lower = (alpha <= _SV_EPS) == (y > 0)
+    if not lower.any():
+        return float(np.min(v))
+    if lower.all():
+        return float(np.max(v))
+    return float(0.5 * (np.max(v[lower]) + np.min(v[~lower])))
 
 
 def _check_gram(gram, y) -> tuple[np.ndarray, np.ndarray]:
@@ -179,17 +176,6 @@ def _check_gram(gram, y) -> tuple[np.ndarray, np.ndarray]:
     if y.shape != (K.shape[0],):
         raise ValueError(f"need {K.shape[0]} labels, got shape {y.shape}")
     return K, y
-
-
-def _check_cross(cross, n_train: int) -> np.ndarray:
-    """The cross kernel as a float matrix with one column per training row;
-    a single row may come as a vector."""
-    cross = np.asarray(cross, dtype=float)
-    if cross.ndim == 1:
-        cross = cross[None, :]
-    if cross.shape[1] != n_train:
-        raise ValueError(f"cross kernel must have {n_train} columns, got {cross.shape[1]}")
-    return cross
 
 
 def train_dual(gram, y, config: TrainConfig | None = None) -> SvmModel:
@@ -216,7 +202,7 @@ def train_dual(gram, y, config: TrainConfig | None = None) -> SvmModel:
 
 def decision_values(model: SvmModel, cross) -> np.ndarray:
     """f(x) = sum_i alpha_i y_i K(x_i, x) + b for each row of the cross kernel."""
-    cross = _check_cross(cross, model.alphas.size)
+    cross = data_matrix(cross, model.alphas.size, "cross kernel")
     return cross @ (model.alphas * model.train_labels) + model.bias
 
 
@@ -278,7 +264,7 @@ def predict_multiclass(ensemble: MulticlassModel, cross) -> np.ndarray:
     any remaining tie by class order."""
     # Every training row sits in some pair, so the largest pair index is the last.
     n_train = 1 + max(int(rows.max()) for rows in ensemble.pair_rows)
-    cross = _check_cross(cross, n_train)
+    cross = data_matrix(cross, n_train, "cross kernel")
     test_rows = np.arange(cross.shape[0])
     votes = np.zeros((cross.shape[0], ensemble.classes.size), dtype=int)
     strength = np.zeros(votes.shape)

@@ -306,6 +306,52 @@ def test_repeated_feature_index_is_usage_error(tmp_path, capsys, command, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "kernels"])
+@pytest.mark.parametrize("flags, cfg", [
+    pytest.param(("--train-size", "0"), {}, id="train-size-flag"),
+    pytest.param(("--test-size", "-3"), {}, id="test-size-flag"),
+    pytest.param((), {"split": {"n_train": 0}}, id="train-size-config"),
+    pytest.param((), {"split": {"n_test": -3}}, id="test-size-config")])
+def test_bad_split_size_is_usage_error(tmp_path, capsys, command, flags, cfg):
+    # Before, each exited 2 with "data error: infeasible split sizes".
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    config.write_text(json.dumps(cfg))
+    args = _table_args(command, out, config)
+    at = args.index("--train-size")
+    del args[at:at + 4]  # the train and test sizes
+    assert main([*args, *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: split.n_t")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, cfg, setting", [
+    pytest.param("evolve", ("--seed", "-1"), {}, "seed", id="seed-flag"),
+    pytest.param("evolve", (), {"evolve": {"seed": -1}}, "seed", id="seed-config"),
+    pytest.param("evolve", ("--split-seed", "-1"), {}, "split.seed", id="split-seed-flag"),
+    pytest.param("kernels", (), {"split": {"seed": -1}}, "split.seed",
+                 id="split-seed-config"),
+    pytest.param("evolve", ("--combos", "2", "--combo-seed", "-1"), {}, "combo seed",
+                 id="combo-seed-flag"),
+    pytest.param("separability", ("--combos", "2"), {"features": {"seed": -1}},
+                 "combo seed", id="combo-seed-config"),
+    pytest.param("evolve", ("--combos", "0"), {}, "combo count", id="combos-flag"),
+    pytest.param("kernels", (), {"features": {"combos": 0}}, "combo count",
+                 id="combos-config")])
+def test_negative_seed_or_no_combos_is_usage_error(tmp_path, capsys, command, flags,
+                                                   cfg, setting):
+    # Before, the seeds exited 3 with numpy's "expected non-negative integer"
+    # and a combo count of 0 exited 2.
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    config.write_text(json.dumps(cfg))
+    args = _table_args(command, out, config)
+    if "--combos" in flags or "features" in cfg:
+        at = args.index("--features")
+        args[at:at + 2] = ["--qubits", "2"]
+    assert main([*args, *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {setting} must be >= ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, cfg", [
     pytest.param("evolve", {"split": 5}, id="evolve-split"),
     pytest.param("evolve", {"evolve": {"early_stop": 3}}, id="evolve-early_stop"),

@@ -7,7 +7,7 @@ import pytest
 
 from qkevo.data import (Dataset, SplitSpec, _quotas, load_csv, make_split, minmax_columns,
                         minmax_scale, sample_feature_combos, split, subset_features)
-from qkevo.errors import DataError
+from qkevo.errors import ConfigError, DataError
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -62,6 +62,17 @@ def test_load_error_unparseable(tmp_path):
     path = _write(tmp_path, "a,label\nfoo,x\n")
     with pytest.raises(DataError, match="unparseable"):
         load_csv(path, "label")
+
+
+@pytest.mark.parametrize("text, match", [
+    pytest.param("a,b,label\n1,2,x\n\n\n3,4,y\n1,x\n", "ragged row at line 6 ",
+                 id="ragged-after-two-blank-lines"),
+    pytest.param("a,label\n1,x\n\nfoo,y\n", "unparseable numeric at line 4:",
+                 id="unparseable-after-a-blank-line")])
+def test_load_error_names_the_file_line(tmp_path, text, match):
+    # Before, blank lines were dropped before numbering: lines 4 and 3.
+    with pytest.raises(DataError, match=match):
+        load_csv(_write(tmp_path, text), "label")
 
 
 @pytest.mark.parametrize("text, label, match", [
@@ -176,6 +187,16 @@ def test_split_infeasible_sizes():
         split(ds, SplitSpec(8, 5))
 
 
+@pytest.mark.parametrize("sizes, setting", [
+    pytest.param((0, 5), "split.n_train", id="no-train-rows"),
+    pytest.param((5, -1), "split.n_test", id="negative-test-rows"),
+    pytest.param((5, 5, -2), "split.seed", id="negative-seed")])
+def test_split_spec_refuses_bad_sizes_and_seeds(sizes, setting):
+    # Before, SplitSpec held them and split raised DataError for the sizes.
+    with pytest.raises(ConfigError, match=setting):
+        SplitSpec(*sizes)
+
+
 def test_split_stratified_tiny_class():
     # Proportional quotas can exhaust a tiny class in the training draw;
     # the test draw then comes from the remaining capacity.
@@ -246,6 +267,15 @@ def test_combos_infeasible_count():
         sample_feature_combos(4, 2, 7)
     with pytest.raises(DataError):
         sample_feature_combos(4, 5, 1)
+
+
+@pytest.mark.parametrize("count, seed, match", [
+    pytest.param(0, 0, "combo count must be >= 1", id="no-combos"),
+    pytest.param(3, -1, "combo seed must be >= 0", id="negative-seed")])
+def test_combos_refuse_a_count_below_one_or_a_negative_seed(count, seed, match):
+    # Before, a count of 0 raised DataError and a seed of -1 numpy's ValueError.
+    with pytest.raises(ConfigError, match=match):
+        sample_feature_combos(4, 2, count, seed=seed)
 
 
 def test_combos_large_space_rejection_path():

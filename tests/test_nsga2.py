@@ -161,6 +161,8 @@ def test_config_validation():
         EvolveConfig(n_qubits=3, mutation_prob=1.5)
     with pytest.raises(ConfigError, match="tournament_size"):
         EvolveConfig(n_qubits=3, tournament_size=0)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        EvolveConfig(n_qubits=3, seed=-1)
 
 
 def test_generations_zero_returns_initial_population():

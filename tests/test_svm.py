@@ -15,7 +15,7 @@ from qkevo.errors import TrainingError
 from qkevo.featuremap import Genome, decode, genome_length
 from qkevo.kernel import classical_kernel, quantum_gram
 from qkevo.svm import (MulticlassModel, SvmModel, TrainConfig, _smo, accuracy,
-                       decision_values, dual_objective, fit_score, predict,
+                       decision_values, dual_objective, final_bias, fit_score, predict,
                        predict_multiclass, train_dual, train_multiclass)
 
 from conftest import REPO_ROOT
@@ -468,6 +468,30 @@ def test_multiclass_refuses_a_wrong_width_cross_kernel(width):
         predict_multiclass(train_multiclass(K, y), cross)
     with pytest.raises(ValueError, match="12 columns"):
         predict(train_dual(K, np.where(y == 0, 1.0, -1.0)), cross)
+
+
+def test_three_dimensional_cross_kernel_is_refused():
+    rng = np.random.default_rng(43)
+    X, y = _blobs(rng, [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)], 4)
+    K = classical_kernel("rbf", X, X)
+    cross = np.ones((3, 12, 12))
+    # Before, predict returned a (3, 12) array and one-vs-one failed in matmul.
+    with pytest.raises(ValueError, match="must have 12 columns"):
+        predict(train_dual(K, np.where(y == 0, 1.0, -1.0)), cross)
+    with pytest.raises(ValueError, match="must have 12 columns"):
+        predict_multiclass(train_multiclass(K, y), cross)
+
+
+@pytest.mark.parametrize("alpha, bias", [
+    pytest.param([1.0, 0.0, 0.0], -2.0, id="no-lower-row"),  # v = [-1, -2, -1]: min
+    pytest.param([0.0, 1.0, 1.0], 3.0, id="every-row-lower"),  # v = [2, 3, 2]: max
+    pytest.param([0.0, 1.0, 0.0], 1.0, id="both-sides")])  # max [2, 2], min [0]
+def test_final_bias_with_every_alpha_at_a_bound(alpha, bias):
+    # No interior alpha, so the bias comes from rows at 0 or C with C = 1:
+    # a positive row at 0 or a negative one at C bounds it from below.
+    K = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    y = np.array([1.0, -1.0, -1.0])
+    assert final_bias(K, y, np.array(alpha), 1.0) == bias
 
 
 def test_multiclass_needs_two_classes():
